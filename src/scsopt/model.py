@@ -15,7 +15,6 @@ set (the brute-force ground-truth oracle used throughout the test suite)
 and evaluates exact objectives over finite supports.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +46,12 @@ class Discrete:
             raise ValueError(f"discrete probabilities sum to {sum(probs)!r}, not 1")
 
     def draw(self, rng):
-        u = rng.random()
-        acc = 0.0
-        for v, p in zip(self.values, self.probs):
-            acc += p
-            if u <= acc:
-                return v
-        return self.values[-1]
+        return float(self.quantile(rng.random()))
+
+    def quantile(self, u):
+        """Atoms at uniforms ``u``: the first whose cumulative probability reaches u."""
+        idx = np.searchsorted(np.cumsum(self.probs), u, "left")
+        return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
 
     @property
     def mean(self):
@@ -67,6 +65,9 @@ class Uniform:
 
     def draw(self, rng):
         return float(rng.uniform(self.lo, self.hi))
+
+    def quantile(self, u):
+        return self.lo + (self.hi - self.lo) * u
 
 
 @dataclass(frozen=True)
@@ -186,82 +187,98 @@ class Scenario:
 
 
 class ScenarioSet:
-    """Ordered collection of scenarios whose weights sum to one."""
+    """Ordered scenarios whose weights sum to one, stored as arrays.
+
+    ``xi`` is N x m2, ``C`` is N x m2 x n1 and ``weights`` has length N.
+    Indexing or iterating yields ``Scenario`` views of single rows.
+    """
 
     def __init__(self, scenarios):
-        self.scenarios = tuple(scenarios)
-        if not self.scenarios:
+        scenarios = tuple(scenarios)
+        if not scenarios:
             raise ValueError("scenario set must be non-empty")
-        total = sum(s.weight for s in self.scenarios)
-        if abs(total - 1.0) > 1e-12 * len(self.scenarios):
+        self._assign(np.array([s.xi for s in scenarios]), np.array([s.C for s in scenarios]),
+                     np.array([s.weight for s in scenarios], dtype=float))
+
+    @classmethod
+    def from_arrays(cls, xi, C, weights):
+        out = cls.__new__(cls)
+        out._assign(xi, C, weights)
+        return out
+
+    def _assign(self, xi, C, weights):
+        if not np.all(weights > 0.0):
+            raise ValueError("scenario weight must be positive")
+        total = float(weights.sum())
+        if abs(total - 1.0) > 1e-12 * len(weights):
             raise ValueError(f"scenario weights sum to {total!r}, not 1")
-        self.weights = np.array([s.weight for s in self.scenarios])
+        self.xi, self.C, self.weights = xi, C, weights
 
     def __len__(self):
-        return len(self.scenarios)
+        return len(self.weights)
 
     def __iter__(self):
-        return iter(self.scenarios)
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i):
-        return self.scenarios[i]
-
-    def union(self, other):
-        """Pooled set with uniform weights (for cumulative i.i.d. sample growth)."""
-        merged = list(self.scenarios) + list(other.scenarios)
-        n = len(merged)
-        return ScenarioSet(
-            [Scenario(s.xi, s.C, 1.0 / n) for s in merged]
-        )
+        return Scenario(self.xi[i], self.C[i], float(self.weights[i]))
 
 
-def _realize(problem, draws):
-    xi = problem.xi.copy()
-    C = problem.C.copy()
-    changed_c = False
-    for entry, value in zip(problem.stochastic_map, draws):
+def as_scenario_set(scenarios):
+    """``scenarios`` itself if it is a ScenarioSet, else a set built from Scenario items."""
+    return scenarios if isinstance(scenarios, ScenarioSet) else ScenarioSet(scenarios)
+
+
+def _place(problem, values, weights):
+    """ScenarioSet whose row r carries ``values[r, j]`` at the position of stochastic entry j."""
+    n = len(weights)
+    xi = np.repeat(problem.xi[None, :], n, axis=0)
+    C = np.repeat(problem.C[None, :, :], n, axis=0)
+    for j, entry in enumerate(problem.stochastic_map):
         if entry.kind == "rhs":
-            xi[entry.row] = value
+            xi[:, entry.row] = values[:, j]
         else:
-            if not changed_c:
-                changed_c = True
-            C[entry.row, entry.col] = value
-    return xi, C
+            C[:, entry.row, entry.col] = values[:, j]
+    return ScenarioSet.from_arrays(xi, C, weights)
 
 
 def draw_scenarios(problem, rng, n):
-    """n i.i.d. scenarios with equal weights 1/n, consuming ``rng``."""
+    """n i.i.d. scenarios with equal weights 1/n, consuming ``rng``.
+
+    Discrete and uniform marginals map one ``rng.random((n, k))`` block through
+    ``quantile``, the same stream and bits as n rows of scalar ``draw`` calls;
+    a map with any other marginal draws row by row.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = 1.0 / n
-    out = []
-    for _ in range(n):
-        draws = [e.dist.draw(rng) for e in problem.stochastic_map]
-        xi, C = _realize(problem, draws)
-        out.append(Scenario(xi=xi, C=C, weight=w))
-    return ScenarioSet(out)
+    entries = problem.stochastic_map
+    if all(isinstance(e.dist, (Discrete, Uniform)) for e in entries):
+        values = rng.random((n, len(entries)))
+        for j, entry in enumerate(entries):
+            values[:, j] = entry.dist.quantile(values[:, j])
+    else:
+        values = np.array([[e.dist.draw(rng) for e in entries] for _ in range(n)])
+    return _place(problem, values, np.full(n, 1.0 / n))
 
 
 def enumerate_support(problem, max_scenarios=1_000_000):
-    """Exact finite support with product weights; requires discrete marginals only."""
+    """Exact finite support with product weights; requires discrete marginals only.
+
+    Atoms come in ``itertools.product`` order (the last entry varies fastest).
+    """
     if not problem.has_finite_support():
         raise ValueError("support enumeration requires finite (discrete) marginals")
     size = problem.support_size()
     if size > max_scenarios:
         raise ValueError(f"support has {size} scenarios, above limit {max_scenarios}")
-    if not problem.stochastic_map:
-        return ScenarioSet([Scenario(problem.xi.copy(), problem.C.copy(), 1.0)])
-    grids = [list(zip(e.dist.values, e.dist.probs)) for e in problem.stochastic_map]
-    out = []
-    for combo in itertools.product(*grids):
-        weight = 1.0
-        draws = []
-        for value, prob in combo:
-            weight *= prob
-            draws.append(value)
-        xi, C = _realize(problem, draws)
-        out.append(Scenario(xi=xi, C=C, weight=weight))
-    return ScenarioSet(out)
+    entries = problem.stochastic_map
+    atoms = np.indices([len(e.dist.values) for e in entries]).reshape(len(entries), size)
+    values = np.empty((size, len(entries)))
+    weights = np.ones(size)
+    for j, entry in enumerate(entries):
+        values[:, j] = np.asarray(entry.dist.values)[atoms[j]]
+        weights = weights * np.asarray(entry.dist.probs)[atoms[j]]
+    return _place(problem, values, weights)
 
 
 class ScenarioSampler:
@@ -314,30 +331,28 @@ class DeterministicProgram:
     """
 
     def __init__(self, problem, scenarios):
+        scenarios = as_scenario_set(scenarios)
         n1, n2 = problem.n1, problem.n2
         m1, m2 = problem.m1, problem.m2
         N = len(scenarios)
-        for s in scenarios:
-            if s.xi.size != m2 or s.C.shape != (m2, n1):
-                raise DimensionMismatch("scenario shapes do not match the problem")
+        if scenarios.xi.shape[1:] != (m2,) or scenarios.C.shape[1:] != (m2, n1):
+            raise DimensionMismatch("scenario shapes do not match the problem")
         nv = n1 + N * n2
         A_eq = np.zeros((m1 + N * m2, nv))
         b_eq = np.zeros(m1 + N * m2)
         A_eq[:m1, :n1] = problem.A
         b_eq[:m1] = problem.b
+        A_eq[m1:, :n1] = scenarios.C.reshape(N * m2, n1)
+        b_eq[m1:] = scenarios.xi.reshape(N * m2)
         lin = np.zeros(nv)
         lin[:n1] = problem.c
+        lin[n1:] = (scenarios.weights[:, None] * problem.d).reshape(N * n2)
         lb = np.full(nv, -np.inf)
         if problem.lower_bounds is not None:
             lb[:n1] = problem.lower_bounds
         lb[n1:] = 0.0
-        for i, s in enumerate(scenarios):
-            r0 = m1 + i * m2
-            c0 = n1 + i * n2
-            A_eq[r0:r0 + m2, :n1] = s.C
-            A_eq[r0:r0 + m2, c0:c0 + n2] = problem.D
-            b_eq[r0:r0 + m2] = s.xi
-            lin[c0:c0 + n2] = s.weight * problem.d
+        for i in range(N):
+            A_eq[m1 + i * m2:m1 + (i + 1) * m2, n1 + i * n2:n1 + (i + 1) * n2] = problem.D
         self.problem = problem
         self.scenarios = scenarios
         self.A_eq = A_eq
@@ -355,9 +370,9 @@ class DeterministicProgram:
         H = np.zeros((nv, nv))
         H[:n1, :n1] = self.problem.Q
         if self.problem.quadratic_recourse:
-            for i, s in enumerate(self.scenarios):
+            for i, w in enumerate(self.scenarios.weights):
                 c0 = n1 + i * n2
-                H[c0:c0 + n2, c0:c0 + n2] = s.weight * self.problem.P
+                H[c0:c0 + n2, c0:c0 + n2] = w * self.problem.P
         return H
 
     def solve(self):

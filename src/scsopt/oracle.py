@@ -30,6 +30,7 @@ import numpy as np
 from . import qpsolve, simplex
 from .base import as_vector
 from .exceptions import NumericalBreakdown, RankDeficientD, RecourseInfeasible
+from .model import ScenarioSet, as_scenario_set
 
 _CACHE_LIMIT = 128
 
@@ -85,18 +86,8 @@ def require_optimal(sol, scenario_index=None):
     raise NumericalBreakdown(f"recourse solve ended with status {sol.status!r}")
 
 
-def subgrad_ql(problem, x, scenario):
-    """(h, v) for a linear second stage: v = -C' pi from the optimal LP duals."""
-    if problem.quadratic_recourse:
-        raise ValueError("subgrad_ql requires a linear second stage (P is None)")
-    sol = require_optimal(solve_recourse(problem, scenario, x))
-    return sol.h, -scenario.C.T @ sol.pi
-
-
-def subgrad_qq(problem, x, scenario):
-    """(h, v) for a quadratic second stage via the equality duals of the primal QP."""
-    if not problem.quadratic_recourse:
-        raise ValueError("subgrad_qq requires a quadratic second stage (P present)")
+def scenario_subgrad(problem, x, scenario):
+    """(h, v) at one scenario: v = -C' pi from the recourse program's equality duals."""
     sol = require_optimal(solve_recourse(problem, scenario, x))
     return sol.h, -scenario.C.T @ sol.pi
 
@@ -167,21 +158,22 @@ def closed_form_multiplier(problem, scenario, x):
 class SaaFunction:
     """Sample-average objective F(x) = c(x) + sum_i w_i h(x, omega_i).
 
-    Per-scenario recourse solutions are cached per evaluation point (bounded
-    LRU), and LP solves are warm-started from each scenario's previous
-    optimal basis.  Scenarios sharing a cached basis are screened in one
-    matrix product: a basis's dual feasibility depends only on (d, D), so
-    every scenario whose basic solution under that basis is nonnegative is
-    optimal without touching the simplex.  Scenario order is fixed, so sums
-    are bit-reproducible.
+    Per-scenario recourse values and subgradients are cached per evaluation
+    point (bounded LRU) as one N x (1 + n1) array of rows [h_i | v_i] and a
+    mask of the rows filled so far, and LP solves are warm-started from each
+    scenario's previous optimal basis.  Scenarios sharing a cached basis are
+    screened in one matrix product: a basis's dual feasibility depends only
+    on (d, D), so every scenario whose basic solution under that basis is
+    nonnegative is optimal without touching the simplex.  Scenario order is
+    fixed and the sums below run in it, so results are bit-reproducible.
     """
 
     def __init__(self, problem, scenarios, basis_hint=None, screen_cache=None):
         self.problem = problem
-        self.scenarios = list(scenarios)
-        self.weights = np.array([s.weight for s in self.scenarios])
+        self.scenarios = as_scenario_set(scenarios)
         self._cache = OrderedDict()
         self._bases = {}
+        self._unseeded = {}  # scenario -> its own basis, not yet visited by _seed_pool
         self._basis_hint = basis_hint
         # Dual-feasible bases of (d, D) discovered so far; shareable across
         # sample sets of the same problem (e.g. the growing set and the
@@ -189,26 +181,18 @@ class SaaFunction:
         if screen_cache is None:
             screen_cache = {"order": [], "info": {}}
         self._screen = screen_cache
-        self._rebuild_stacks()
-
-    def _rebuild_stacks(self):
-        self._xi_stack = np.array([s.xi for s in self.scenarios])
-        self._c_stack = np.array([s.C for s in self.scenarios])
-        self._shared_C = not any(e.kind == "tech" for e in self.problem.stochastic_map)
+        self._shared_C = bool(np.all(self.scenarios.C == self.scenarios.C[0]))
 
     def __len__(self):
         return len(self.scenarios)
 
     def extend(self, new_scenarios):
         """Append scenarios and reset weights to uniform (i.i.d. growth only)."""
-        self.scenarios.extend(new_scenarios)
-        n = len(self.scenarios)
-        w = 1.0 / n
-        self.scenarios = [
-            type(s)(xi=s.xi, C=s.C, weight=w) for s in self.scenarios
-        ]
-        self.weights = np.full(n, w)
-        self._rebuild_stacks()
+        old, new = self.scenarios, as_scenario_set(new_scenarios)
+        n = len(old) + len(new)
+        self.scenarios = ScenarioSet.from_arrays(
+            np.concatenate([old.xi, new.xi]), np.concatenate([old.C, new.C]), np.full(n, 1.0 / n))
+        self._shared_C = bool(np.all(self.scenarios.C == self.scenarios.C[0]))
 
     def _basis_screen(self, basis_key):
         """(B_inv, pi, d_B, dual_ok) for a candidate optimal basis of (d, D)."""
@@ -235,34 +219,53 @@ class SaaFunction:
         return info
 
     def _solutions(self, x):
+        """N x (1 + n1) array whose row i is [h_i | v_i] at x."""
         key = x.tobytes()
-        entry = self._cache.get(key)
-        if entry is None:
-            entry = {}
-            self._cache[key] = entry
+        n = len(self.scenarios)
+        cached = self._cache.get(key)
+        if cached is None:
+            rows, done = np.empty((n, 1 + self.problem.n1)), np.zeros(n, dtype=bool)
         else:
             self._cache.move_to_end(key)
-        n = len(self.scenarios)
-        if len(entry) < n:
-            missing = [i for i in range(n) if i not in entry]
-            if not self.problem.quadratic_recourse and len(missing) >= 4:
-                self._solve_batched(x, missing, entry)
-                missing = [i for i in missing if i not in entry]
-            for i in missing:
-                s = self.scenarios[i]
-                basis = self._bases.get(i, self._basis_hint)
-                sol = solve_recourse(self.problem, s, x, basis=basis)
-                require_optimal(sol, i)
-                if sol.basis is not None:
-                    self._bases[i] = sol.basis
-                    self._basis_hint = sol.basis
-                entry[i] = (sol.h, -s.C.T @ sol.pi)
+            rows, done = cached
+            if done.size < n:  # the set grew since x was cached
+                rows = np.vstack([rows, np.empty((n - done.size, rows.shape[1]))])
+                done = np.concatenate([done, np.zeros(n - done.size, dtype=bool)])
+        self._cache[key] = (rows, done)
+        missing = np.flatnonzero(~done)
+        if not self.problem.quadratic_recourse and missing.size >= 4:
+            self._solve_batched(x, missing, rows, done)
+            missing = np.flatnonzero(~done)
+        for i in missing.tolist():
+            s = self.scenarios[i]
+            basis = self._bases.get(i, self._basis_hint)
+            sol = solve_recourse(self.problem, s, x, basis=basis)
+            require_optimal(sol, i)
+            if sol.basis is not None:
+                self._bases[i] = self._unseeded[i] = sol.basis
+                self._basis_hint = sol.basis
+            rows[i, 0] = sol.h
+            rows[i, 1:] = -s.C.T @ sol.pi
+            done[i] = True
         while len(self._cache) > _CACHE_LIMIT:
             self._cache.popitem(last=False)
-        return entry
+        return rows
 
-    def _solve_batched(self, x, missing, entry):
-        """Assign (h, v) for every scenario optimal under a known basis.
+    def _seed_pool(self, missing, done):
+        """Screen the bases missing scenarios start from (own last basis, else the hint).
+
+        In order of first appearance; the shared pool keeps what it screened.
+        """
+        visits = {i: b for i, b in self._unseeded.items() if not done[i]}
+        hint_at = next((i for i in missing.tolist() if i not in self._bases), None)
+        if self._basis_hint is not None and hint_at is not None:
+            visits[hint_at] = self._basis_hint
+        for i in sorted(visits):
+            self._basis_screen(tuple(visits[i].tolist()))
+            self._unseeded.pop(i, None)
+
+    def _solve_batched(self, x, missing, rows, done):
+        """Fill the rows of every missing scenario optimal under a known basis.
 
         Each dual-feasible basis discovered so far is screened against all
         still-missing right-hand sides in one matrix product; the first basis
@@ -270,60 +273,48 @@ class SaaFunction:
         scenario.  Only scenarios falling outside every known cell of the
         optimal-basis fan reach the scalar simplex.
         """
-        rhs_all = self._xi_stack[missing] - self._c_stack[missing] @ x
-        # Seed the shared pool with this set's cached bases.
-        for i in missing:
-            basis = self._bases.get(i, self._basis_hint)
-            if basis is not None:
-                self._basis_screen(tuple(basis.tolist()))
-        open_pos = np.arange(len(missing))
-        for basis_key in list(self._screen["order"]):
-            if open_pos.size == 0:
-                break
+        S = self.scenarios
+        self._seed_pool(missing, done)
+        sub = S.xi[missing] - S.C[missing] @ x
+        tol = 1e-9 * (1.0 + np.abs(sub).max(axis=1))
+        open_pos = np.arange(missing.size)
+        for basis_key in self._screen["order"]:
             B_inv, pi, d_B, _ok = self._screen["info"][basis_key]
-            sub = rhs_all[open_pos]
             XB = sub @ B_inv.T
-            tol_x = 1e-9 * (1.0 + np.abs(sub).max(axis=1))
-            hit = XB.min(axis=1) >= -tol_x
+            hit = XB.min(axis=1) >= -tol
             if not hit.any():
                 continue
-            h_vals = XB[hit] @ d_B
-            shared_v = -self.scenarios[0].C.T @ pi if self._shared_C else None
-            for local, pos in enumerate(open_pos[hit]):
-                i = missing[pos]
-                v = shared_v if shared_v is not None else -self.scenarios[i].C.T @ pi
-                entry[i] = (float(h_vals[local]), v)
-            open_pos = open_pos[~hit]
+            idx = missing[open_pos[hit]]
+            rows[idx, 0] = XB[hit] @ d_B
+            if self._shared_C:
+                rows[idx, 1:] = -S.C[0].T @ pi
+            else:
+                rows[idx, 1:] = -S.C[idx].transpose(0, 2, 1) @ pi
+            done[idx] = True
+            miss = ~hit
+            if not miss.any():
+                break
+            open_pos, sub, tol = open_pos[miss], sub[miss], tol[miss]
+
+    def _value(self, x, rows):
+        h = np.ascontiguousarray(rows[:, 0])
+        return self.problem.first_stage_cost(x) + float(self.scenarios.weights @ h)
+
+    def _subgrad(self, x, rows):
+        # Reducing over axis 0 adds the rows one after another, so this is
+        # bit-equal to g = Qx + c; g = g + w_i v_i over i in scenario order.
+        terms = self.scenarios.weights[:, None] * rows[:, 1:]
+        return np.add.reduce(np.vstack([self.problem.Q @ x + self.problem.c, terms]), axis=0)
 
     def value(self, x):
         x = as_vector(x, self.problem.n1, "x")
-        entry = self._solutions(x)
-        h = np.array([entry[i][0] for i in range(len(self.scenarios))])
-        return self.problem.first_stage_cost(x) + float(self.weights @ h)
+        return self._value(x, self._solutions(x))
 
     def subgrad(self, x):
         x = as_vector(x, self.problem.n1, "x")
-        entry = self._solutions(x)
-        g = self.problem.Q @ x + self.problem.c
-        for i in range(len(self.scenarios)):
-            g = g + self.weights[i] * entry[i][1]
-        return g
+        return self._subgrad(x, self._solutions(x))
 
     def value_and_subgrad(self, x):
         x = as_vector(x, self.problem.n1, "x")
-        entry = self._solutions(x)
-        n = len(self.scenarios)
-        h = np.array([entry[i][0] for i in range(n)])
-        g = self.problem.Q @ x + self.problem.c
-        for i in range(n):
-            g = g + self.weights[i] * entry[i][1]
-        value = self.problem.first_stage_cost(x) + float(self.weights @ h)
-        return value, g
-
-
-def saa_value(F, x):
-    return F.value(x)
-
-
-def saa_subgrad(F, x):
-    return F.subgrad(x)
+        rows = self._solutions(x)
+        return self._value(x, rows), self._subgrad(x, rows)

@@ -25,9 +25,8 @@ from scsopt.oracle import (
     SaaFunction,
     closed_form_dual_value,
     closed_form_multiplier,
+    scenario_subgrad,
     solve_recourse,
-    subgrad_ql,
-    subgrad_qq,
 )
 from scsopt.rng import substream
 from scsopt.scs import ScsSolver, hoeffding_bound, lambda_star, line_search, sample_size
@@ -258,12 +257,8 @@ def test_criterion_8_oracle_soundness():
         for s in scen:
             x = rng.normal(size=p.n1)
             x2 = rng.normal(size=p.n1)
-            if quadratic:
-                h, v = subgrad_qq(p, x, s)
-                h2, _ = subgrad_qq(p, x2, s)
-            else:
-                h, v = subgrad_ql(p, x, s)
-                h2, _ = subgrad_ql(p, x2, s)
+            h, v = scenario_subgrad(p, x, s)
+            h2, _ = scenario_subgrad(p, x2, s)
             assert h2 >= h + v @ (x2 - x) - 1e-8
             sol = solve_recourse(p, s, x)
             rhs = s.xi - s.C @ x

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scsopt.exceptions import DimensionMismatch
 from scsopt.model import (
@@ -192,3 +194,62 @@ def test_draw_scenarios_equal_weights():
     p = simple_problem(stochastic_map=[RandomEntry("rhs", 0, dist=Uniform(0.0, 1.0))])
     got = draw_scenarios(p, substream(1, "sample"), 8)
     assert all(s.weight == pytest.approx(1.0 / 8) for s in got)
+
+
+def scalar_draw(dist, rng):
+    """One draw from ``rng``: a discrete atom by a running sum of probabilities, else ``dist.draw``."""
+    if not isinstance(dist, Discrete):
+        return dist.draw(rng)
+    u, acc = rng.random(), 0.0
+    for value, prob in zip(dist.values, dist.probs):
+        acc += prob
+        if u <= acc:
+            return value
+    return dist.values[-1]
+
+
+def scalar_draws(problem, rng, n):
+    """(xi, C) stacks of n scenarios drawn one entry at a time."""
+    xi = np.repeat(problem.xi[None, :], n, axis=0)
+    C = np.repeat(problem.C[None, :, :], n, axis=0)
+    for r in range(n):
+        for e in problem.stochastic_map:
+            value = scalar_draw(e.dist, rng)
+            if e.kind == "rhs":
+                xi[r, e.row] = value
+            else:
+                C[r, e.row, e.col] = value
+    return xi, C
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+def test_draws_match_scalar_stream(seed, with_normal):
+    rng = np.random.default_rng(seed)
+    entries = []
+    for _ in range(int(rng.integers(0, 5))):
+        kind = "rhs" if rng.random() < 0.5 else "tech"
+        if rng.random() < 0.5:
+            k = int(rng.integers(1, 6))
+            probs = rng.uniform(0.5, 1.5, k)
+            probs /= probs.sum()
+            probs[-1] = 1.0 - probs[:-1].sum()
+            dist = Discrete(tuple(rng.normal(size=k)), tuple(probs))
+            # u equal to a cumulative probability takes that atom; u above the last one, the last atom
+            cum = np.cumsum(probs)
+            assert dist.quantile(cum).tolist() == list(dist.values)
+            assert dist.quantile(np.nextafter(cum[-1], 2.0)) == dist.values[-1]
+        else:
+            lo = float(rng.normal())
+            dist = Uniform(lo, lo + float(rng.uniform(0.1, 3.0)))
+        entries.append(RandomEntry(kind, int(rng.integers(2)), int(rng.integers(2)), dist=dist))
+    if with_normal:
+        entries.insert(int(rng.integers(len(entries) + 1)), RandomEntry("rhs", 1, dist=Normal(0.0, 1.0)))
+    p = simple_problem(stochastic_map=entries)
+    n = int(rng.integers(1, 50))
+    got_rng, ref_rng = substream(seed, "sample"), substream(seed, "sample")
+    got = draw_scenarios(p, got_rng, n)
+    xi, C = scalar_draws(p, ref_rng, n)
+    assert got.xi.tobytes() == xi.tobytes()
+    assert got.C.tobytes() == C.tobytes()
+    assert got_rng.random() == ref_rng.random()

@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scsopt.exceptions import RecourseInfeasible
-from scsopt.model import Discrete, RandomEntry, Scenario, TwoStageProblem, enumerate_support, true_objective
+from scsopt.model import (
+    Discrete,
+    RandomEntry,
+    Scenario,
+    ScenarioSet,
+    TwoStageProblem,
+    Uniform,
+    enumerate_support,
+    true_objective,
+)
 from scsopt.oracle import (
     SaaFunction,
     closed_form_dual_value,
     closed_form_multiplier,
-    saa_subgrad,
-    saa_value,
+    scenario_subgrad,
     solve_recourse,
-    subgrad_ql,
-    subgrad_qq,
 )
 from scsopt.rng import substream
 from scsopt.model import draw_scenarios
@@ -42,11 +50,37 @@ def complete_recourse_problem(rng, n1=3, m2=2, n_base=2, quadratic=False, seed_e
     )
 
 
+def random_lp_problem(seed, tech):
+    """Complete-recourse LP with random rhs marginals and, if ``tech``, random C entries."""
+    rng = np.random.default_rng(seed)
+    n1, m2 = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    base = complete_recourse_problem(rng, n1=n1, m2=m2, n_base=int(rng.integers(1, 4)),
+                                     seed_entries=False)
+    entries = [RandomEntry("rhs", row, dist=Uniform(-1.0, 1.0)) for row in range(m2)]
+    if tech:
+        for _ in range(int(rng.integers(1, 3))):
+            r, c_ = int(rng.integers(m2)), int(rng.integers(n1))
+            entries.append(RandomEntry("tech", r, c_, dist=Discrete((-0.5, 0.2, 0.7), (0.3, 0.3, 0.4))))
+    return TwoStageProblem(Q=base.Q, c=rng.normal(size=n1), A=base.A, b=base.b, D=base.D,
+                           d=base.d, xi=base.xi, C=base.C, stochastic_map=entries)
+
+
+def per_scenario_sum(p, scenarios, x):
+    """c(x) + sum_i w_i h_i and Qx + c + sum_i w_i v_i from one solve_recourse per scenario."""
+    value, g = p.first_stage_cost(x), p.Q @ x + p.c
+    for s in scenarios:
+        sol = solve_recourse(p, s, x)
+        assert sol.status == "optimal"
+        value += s.weight * sol.h
+        g = g + s.weight * (-s.C.T @ sol.pi)
+    return value, g
+
+
 class TestLpRecourse:
     def test_scalar_analytic(self):
         p = lp_problem()
         s = Scenario(xi=np.array([2.0]), C=np.array([[1.0]]), weight=1.0)
-        h, v = subgrad_ql(p, np.array([1.0]), s)
+        h, v = scenario_subgrad(p, np.array([1.0]), s)
         assert h == pytest.approx(1.0)
         np.testing.assert_allclose(v, [-1.0])
 
@@ -56,12 +90,12 @@ class TestLpRecourse:
         sol = solve_recourse(p, s, np.array([1.0]))
         assert sol.status == "infeasible"
         with pytest.raises(RecourseInfeasible):
-            subgrad_ql(p, np.array([1.0]), s)
+            scenario_subgrad(p, np.array([1.0]), s)
 
     def test_zero_technology_matrix(self):
         p = lp_problem(C=[[0.0]])
         s = Scenario(xi=np.array([2.0]), C=np.array([[0.0]]), weight=1.0)
-        _, v = subgrad_ql(p, np.array([1.0]), s)
+        _, v = scenario_subgrad(p, np.array([1.0]), s)
         np.testing.assert_allclose(v, [0.0])
 
     def test_subgradient_inequality_random(self):
@@ -72,8 +106,8 @@ class TestLpRecourse:
             for _ in range(20):
                 x = rng.normal(size=p.n1)
                 x2 = rng.normal(size=p.n1)
-                h, v = subgrad_ql(p, x, s)
-                h2, _ = subgrad_ql(p, x2, s)
+                h, v = scenario_subgrad(p, x, s)
+                h2, _ = scenario_subgrad(p, x2, s)
                 assert h2 >= h + v @ (x2 - x) - 1e-8
 
 
@@ -86,7 +120,7 @@ class TestQpRecourse:
         np.testing.assert_allclose(sol.y, [1.0], atol=1e-9)
         assert sol.h == pytest.approx(0.5)
         np.testing.assert_allclose(sol.pi, [1.0], atol=1e-9)
-        h, g = subgrad_qq(p, np.array([0.0]), s)
+        h, g = scenario_subgrad(p, np.array([0.0]), s)
         assert h == pytest.approx(0.5)
         np.testing.assert_allclose(g, [-1.0], atol=1e-9)
 
@@ -98,15 +132,9 @@ class TestQpRecourse:
             for _ in range(20):
                 x = rng.normal(size=p.n1)
                 x2 = rng.normal(size=p.n1)
-                h, v = subgrad_qq(p, x, s)
-                h2, _ = subgrad_qq(p, x2, s)
+                h, v = scenario_subgrad(p, x, s)
+                h2, _ = scenario_subgrad(p, x2, s)
                 assert h2 >= h + v @ (x2 - x) - 1e-8
-
-    def test_wrong_dispatch_raises(self):
-        p = lp_problem()
-        s = Scenario(xi=np.array([2.0]), C=np.array([[1.0]]), weight=1.0)
-        with pytest.raises(ValueError):
-            subgrad_qq(p, np.array([1.0]), s)
 
 
 class TestClosedFormDual:
@@ -155,9 +183,9 @@ class TestSaaFunction:
         s = Scenario(xi=np.array([2.0]), C=np.array([[1.0]]), weight=1.0)
         F = SaaFunction(p, [s])
         x = np.array([1.0])
-        h, v = subgrad_ql(p, x, s)
-        assert saa_value(F, x) == pytest.approx(p.first_stage_cost(x) + h)
-        np.testing.assert_allclose(saa_subgrad(F, x), p.Q @ x + p.c + v)
+        h, v = scenario_subgrad(p, x, s)
+        assert F.value(x) == pytest.approx(p.first_stage_cost(x) + h)
+        np.testing.assert_allclose(F.subgrad(x), p.Q @ x + p.c + v)
 
     def test_affine_region_constant_subgradient(self):
         p = lp_problem(Q=np.zeros((1, 1)), c=[0.5])
@@ -200,3 +228,60 @@ class TestSaaFunction:
                 errs.append(abs(SaaFunction(p, scen).value(x) - exact))
             med.append(np.median(errs))
         assert med[0] >= med[1] >= med[2]
+
+
+class TestSaaDifferential:
+    """The batched, array-backed oracle against one scalar recourse solve per scenario."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans())
+    def test_matches_per_scenario_solves(self, seed, tech):
+        p = random_lp_problem(seed, tech)
+        rng = np.random.default_rng(seed + 1)
+        n = int(rng.integers(4, 40))
+        F = SaaFunction(p, draw_scenarios(p, substream(seed, "grow", 0), n))
+        # A second set sharing the basis pool starts from the first one's bases.
+        T = SaaFunction(p, draw_scenarios(p, substream(seed, "test_set", 0), n),
+                        basis_hint=F._basis_hint, screen_cache=F._screen)
+        for _ in range(3):
+            x = rng.normal(size=p.n1)
+            for G in (F, T):
+                want_f, want_g = per_scenario_sum(p, G.scenarios, x)
+                np.testing.assert_allclose(G.value(x), want_f, rtol=1e-10)
+                np.testing.assert_allclose(G.subgrad(x), want_g, rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans())
+    def test_extend_after_cached_evaluations_matches_fresh_set(self, seed, tech):
+        p = random_lp_problem(seed, tech)
+        rng = np.random.default_rng(seed + 2)
+        first = draw_scenarios(p, substream(seed, "grow", 0), int(rng.integers(1, 20)))
+        more = draw_scenarios(p, substream(seed, "grow", 1), int(rng.integers(1, 20)))
+        F = SaaFunction(p, first)
+        xs = [rng.normal(size=p.n1) for _ in range(3)]
+        for x in xs:
+            F.value_and_subgrad(x)
+        F.extend(more)
+        n = len(first) + len(more)
+        fresh = SaaFunction(p, ScenarioSet.from_arrays(
+            np.concatenate([first.xi, more.xi]), np.concatenate([first.C, more.C]),
+            np.full(n, 1.0 / n)))
+        assert len(F) == n and np.all(F.scenarios.weights == 1.0 / n)
+        for x in xs + [rng.normal(size=p.n1)]:
+            f, g = F.value_and_subgrad(x)
+            f_fresh, g_fresh = fresh.value_and_subgrad(x)
+            np.testing.assert_allclose(f, f_fresh, rtol=1e-10)
+            np.testing.assert_allclose(g, g_fresh, rtol=1e-10, atol=1e-12)
+
+    def test_sums_run_in_scenario_order(self):
+        p = random_lp_problem(11, tech=True)
+        scen = draw_scenarios(p, substream(4, "sample"), 5000)
+        F = SaaFunction(p, scen)
+        x = np.random.default_rng(4).normal(size=p.n1)
+        rows = F._solutions(x)
+        h = np.array([rows[i][0] for i in range(len(scen))])
+        g = p.Q @ x + p.c
+        for i in range(len(scen)):
+            g = g + scen.weights[i] * rows[i][1:]
+        assert F.value(x) == p.first_stage_cost(x) + float(scen.weights @ h)
+        assert F.subgrad(x).tobytes() == g.tobytes()
