@@ -147,14 +147,3 @@ class SmdSolver(_BaselineSolver):
         base = self._c / self.G_bound
         return base if self.step_rule == "constant" else base / np.sqrt(k)
 
-
-def sgd_run(problem, **params):
-    """Functional wrapper: fitted SgdSolver's (x_, history_)."""
-    s = SgdSolver(**params).fit(problem)
-    return s.x_, s.history_
-
-
-def smd_run(problem, **params):
-    """Functional wrapper: fitted SmdSolver's (x_, history_)."""
-    s = SmdSolver(**params).fit(problem)
-    return s.x_, s.history_

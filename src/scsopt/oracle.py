@@ -8,6 +8,12 @@ with g linear or convex quadratic.  The equality duals pi of that program
 give the production subgradient of h with respect to x as  v = -C' pi,
 for both the linear and the quadratic second stage.
 
+Both solutions are piecewise affine in r = xi - Cx: an LP's optimal basis,
+and a strictly convex QP's optimal working set (Bemporad, Morari, Dua and
+Pistikopoulos, 2002), fixes one affine map on a polyhedral cell of r.  The
+sample-average oracle caches those maps and settles every scenario whose
+r falls in a known cell with matrix products instead of a solve.
+
 The quadratic case also admits a closed-form dual in the multipliers s of
 the bound constraints,
 
@@ -43,6 +49,7 @@ class RecourseSolution:
     status: str
     mu: np.ndarray | None = None
     basis: np.ndarray | None = None
+    working_set: np.ndarray | None = None  # active bounds of a QP solve
 
 
 def solve_lp_recourse(d, D, rhs, basis=None):
@@ -61,7 +68,7 @@ def solve_qp_bound(P, d, D, rhs, lower=None, y0=None, phase1_basis=None):
     if res.status != qpsolve.OPTIMAL:
         return RecourseSolution(h=res.obj, y=None, pi=None, status=res.status)
     return RecourseSolution(h=res.obj, y=res.x, pi=res.pi, status="optimal",
-                            mu=res.mu, basis=res.phase1_basis)
+                            mu=res.mu, basis=res.phase1_basis, working_set=res.working_set)
 
 
 def solve_recourse(problem, scenario, x, basis=None):
@@ -160,12 +167,22 @@ class SaaFunction:
 
     Per-scenario recourse values and subgradients are cached per evaluation
     point (bounded LRU) as one N x (1 + n1) array of rows [h_i | v_i] and a
-    mask of the rows filled so far, and LP solves are warm-started from each
-    scenario's previous optimal basis.  Scenarios sharing a cached basis are
-    screened in one matrix product: a basis's dual feasibility depends only
-    on (d, D), so every scenario whose basic solution under that basis is
-    nonnegative is optimal without touching the simplex.  Scenario order is
-    fixed and the sums below run in it, so results are bit-reproducible.
+    mask of the rows filled so far.  Scalar solves are warm-started from each
+    scenario's previous basis (the phase-1 basis of a QP).  Missing scenarios
+    are screened against a pool of cells in one matrix product per cell:
+
+    * an LP cell is a dual-feasible basis B (dual feasibility depends only on
+      (d, D)); a scenario whose basic solution B^-1 r is nonnegative is
+      optimal with the cell's constant pi;
+    * a QP cell is a working set, the bounds active at a scalar solve's
+      optimum, with one factor of its KKT matrix; a scenario whose free
+      primal part and bound multipliers are nonnegative is optimal, and its
+      pi is affine in r.  A singular or ill-conditioned KKT matrix (e.g. when
+      the free columns of D lose rank) is never pooled.
+
+    Only scenarios outside every pooled cell reach ``solve_recourse``.
+    Scenario order is fixed and the sums below run in it, so results are
+    bit-reproducible.
     """
 
     def __init__(self, problem, scenarios, basis_hint=None, screen_cache=None):
@@ -194,29 +211,70 @@ class SaaFunction:
             np.concatenate([old.xi, new.xi]), np.concatenate([old.C, new.C]), np.full(n, 1.0 / n))
         self._shared_C = bool(np.all(self.scenarios.C == self.scenarios.C[0]))
 
-    def _basis_screen(self, basis_key):
-        """(B_inv, pi, d_B, dual_ok) for a candidate optimal basis of (d, D)."""
-        info = self._screen["info"].get(basis_key)
-        if info is not None:
-            return info
+    def _pool(self, key):
+        """Screen the cell of free set ``key``: an LP basis, or the inactive bounds of a QP.
+
+        The shared pool keeps, in discovery order, every cell that can settle
+        scenarios; a singular or dual-infeasible LP basis and a QP working set
+        whose KKT matrix is singular or ill-conditioned are remembered as None.
+        """
+        if key not in self._screen["info"]:
+            free = np.array(key, dtype=int)
+            info = self._qp_cell(free) if self.problem.quadratic_recourse else self._lp_cell(free)
+            self._screen["info"][key] = info
+            if info is not None:
+                self._screen["order"].append(key)
+
+    def _lp_cell(self, basis):
+        """(B_inv, pi, d_B) of a dual-feasible basis of (d, D)."""
         d, D = self.problem.d, self.problem.D
-        basis = np.array(basis_key, dtype=int)
         try:
-            B_inv = np.linalg.inv(D[:, basis])
-        except np.linalg.LinAlgError:
-            info = (None, None, None, False)
-            self._screen["info"][basis_key] = info
-            return info
+            B_inv = simplex._invert(D[:, basis])
+        except NumericalBreakdown:
+            return None
         pi = d[basis] @ B_inv
         red = d - D.T @ pi
         red[basis] = 0.0
         tol_c = 1e-9 * (1.0 + float(np.abs(d).max(initial=0.0)))
-        dual_ok = bool(np.all(np.isfinite(B_inv))) and red.min(initial=0.0) >= -tol_c
-        info = (B_inv, pi, d[basis], dual_ok)
-        self._screen["info"][basis_key] = info
-        if dual_ok:
-            self._screen["order"].append(basis_key)
-        return info
+        return (B_inv, pi, d[basis]) if red.min(initial=0.0) >= -tol_c else None
+
+    def _qp_cell(self, free):
+        """(G', a, free, P_F, D_W, work): [y_F; pi] = a + G r on the free set F.
+
+        P y + d - D'pi - mu = 0 with y_W = 0 and mu_F = 0 leaves the KKT system
+        [[P_FF, -D_F'], [D_F, 0]] [y_F; pi] = [-d_F; r].
+        """
+        P, d, D = self.problem.P, self.problem.d, self.problem.D
+        nf, work = free.size, np.setdiff1d(np.arange(d.size), free)
+        K = np.block([[P[np.ix_(free, free)], -D[:, free].T],
+                      [D[:, free], np.zeros((D.shape[0], D.shape[0]))]])
+        try:
+            K_inv = simplex._invert(K)
+            simplex._check_condition(K, K_inv)
+        except NumericalBreakdown:
+            return None
+        return K_inv[:, nf:].T, -K_inv[:, :nf] @ d[free], free, P[free], D[:, work], work
+
+    def _settle_lp(self, info, sub, tol):
+        """(hit, h, pi) of the rows whose basic solution is nonnegative, or None."""
+        B_inv, pi, d_B = info
+        XB = sub @ B_inv.T
+        hit = XB.min(axis=1) >= -tol
+        return (hit, XB[hit] @ d_B, pi) if hit.any() else None
+
+    def _settle_qp(self, info, sub, tol):
+        """(hit, h, pi rows) of the rows solved within ``qpsolve._finish``'s tolerances, or None."""
+        Gt, a, free, P_F, D_W, work = info
+        Z = sub @ Gt + a
+        y, pi = Z[:, :free.size], Z[:, free.size:]
+        grad = y @ P_F + self.problem.d
+        mu = grad[:, work] - pi @ D_W
+        hit = ((y.min(axis=1, initial=0.0) >= -1e-9 * (1.0 + np.abs(y).max(axis=1, initial=0.0)))
+               & (mu.min(axis=1, initial=0.0) >= -1e-8 * (1.0 + np.abs(grad).max(axis=1))))
+        if not hit.any():
+            return None
+        h = 0.5 * np.einsum("ij,ij->i", y[hit], grad[hit][:, free] + self.problem.d[free])
+        return hit, h, pi[hit]
 
     def _solutions(self, x):
         """N x (1 + n1) array whose row i is [h_i | v_i] at x."""
@@ -233,7 +291,7 @@ class SaaFunction:
                 done = np.concatenate([done, np.zeros(n - done.size, dtype=bool)])
         self._cache[key] = (rows, done)
         missing = np.flatnonzero(~done)
-        if not self.problem.quadratic_recourse and missing.size >= 4:
+        if missing.size >= 4:
             self._solve_batched(x, missing, rows, done)
             missing = np.flatnonzero(~done)
         for i in missing.tolist():
@@ -242,8 +300,9 @@ class SaaFunction:
             sol = solve_recourse(self.problem, s, x, basis=basis)
             require_optimal(sol, i)
             if sol.basis is not None:
-                self._bases[i] = self._unseeded[i] = sol.basis
-                self._basis_hint = sol.basis
+                self._bases[i] = self._basis_hint = sol.basis
+                ws = sol.working_set
+                self._unseeded[i] = sol.basis if ws is None else np.flatnonzero(~ws)
             rows[i, 0] = sol.h
             rows[i, 1:] = -s.C.T @ sol.pi
             done[i] = True
@@ -252,7 +311,7 @@ class SaaFunction:
         return rows
 
     def _seed_pool(self, missing, done):
-        """Screen the bases missing scenarios start from (own last basis, else the hint).
+        """Pool the cells missing scenarios start from (own last cell, else the hint basis).
 
         In order of first appearance; the shared pool keeps what it screened.
         """
@@ -261,32 +320,33 @@ class SaaFunction:
         if self._basis_hint is not None and hint_at is not None:
             visits[hint_at] = self._basis_hint
         for i in sorted(visits):
-            self._basis_screen(tuple(visits[i].tolist()))
+            self._pool(tuple(visits[i].tolist()))
             self._unseeded.pop(i, None)
 
     def _solve_batched(self, x, missing, rows, done):
-        """Fill the rows of every missing scenario optimal under a known basis.
+        """Fill the rows of every missing scenario optimal in a known cell.
 
-        Each dual-feasible basis discovered so far is screened against all
-        still-missing right-hand sides in one matrix product; the first basis
-        (in discovery order) whose basic solution is nonnegative settles a
-        scenario.  Only scenarios falling outside every known cell of the
-        optimal-basis fan reach the scalar simplex.
+        Each pooled cell is screened against all still-missing right-hand
+        sides at once; the first cell (in discovery order) that
+        solves a scenario settles it.  Only scenarios falling outside every
+        known cell reach the scalar solver.
         """
         S = self.scenarios
         self._seed_pool(missing, done)
         sub = S.xi[missing] - S.C[missing] @ x
         tol = 1e-9 * (1.0 + np.abs(sub).max(axis=1))
         open_pos = np.arange(missing.size)
-        for basis_key in self._screen["order"]:
-            B_inv, pi, d_B, _ok = self._screen["info"][basis_key]
-            XB = sub @ B_inv.T
-            hit = XB.min(axis=1) >= -tol
-            if not hit.any():
+        settle = self._settle_qp if self.problem.quadratic_recourse else self._settle_lp
+        for key in self._screen["order"]:
+            settled = settle(self._screen["info"][key], sub, tol)
+            if settled is None:
                 continue
+            hit, h, pi = settled
             idx = missing[open_pos[hit]]
-            rows[idx, 0] = XB[hit] @ d_B
-            if self._shared_C:
+            rows[idx, 0] = h
+            if pi.ndim == 2:  # QP duals vary with the right-hand side
+                rows[idx, 1:] = -np.einsum("imn,im->in", S.C[idx], pi)
+            elif self._shared_C:
                 rows[idx, 1:] = -S.C[0].T @ pi
             else:
                 rows[idx, 1:] = -S.C[idx].transpose(0, 2, 1) @ pi

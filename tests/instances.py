@@ -92,8 +92,7 @@ def make_two_stage(seed, n1=5, m1=2, m2=2, n_base=3, quadratic=False,
     # expected subgradient there.
     v_bar = F.subgrad(anchor) - prob.Q @ anchor  # = c(=0) + mean recourse subgradient
     c_vec = -(prob.Q @ anchor) - v_bar
-    h_vals = [SaaFunction(prob, support)._solutions(anchor)[i][0] for i in range(len(support))]
-    h_hi = 2.0 * max(max(h_vals), 1.0) + penalty * 10.0
+    h_hi = 2.0 * max(float(F._solutions(anchor)[:, 0].max()), 1.0) + penalty * 10.0
     return TwoStageProblem(Q=Q, c=c_vec, A=A, b=b, D=D, d=d, xi=xi, C=C, P=P,
                            lower_bounds=np.zeros(n1), stochastic_map=entries,
                            name=name, recourse_lo=0.0, recourse_hi=h_hi)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from instances import make_two_stage
-from scsopt.baselines import SgdSolver, SmdSolver, sgd_run, smd_run
+from scsopt.baselines import SgdSolver, SmdSolver
 from scsopt.model import TwoStageProblem, enumerate_support
 from scsopt.oracle import SaaFunction
 
@@ -106,9 +106,9 @@ def test_iterates_stay_feasible():
 
 def test_functional_wrappers():
     p = deterministic_qp()
-    x, hist = sgd_run(p, batch=1, iters=10, seed=0, record_wall_time=False)
+    hist = SgdSolver(batch=1, iters=10, seed=0, record_wall_time=False).fit(p).history_
     assert len(hist) == 10
-    x2, hist2 = smd_run(p, batch=1, iters=10, seed=0, G_bound=2.0, record_wall_time=False)
+    hist2 = SmdSolver(batch=1, iters=10, seed=0, G_bound=2.0, record_wall_time=False).fit(p).history_
     assert len(hist2) == 10
 
 

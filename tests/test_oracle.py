@@ -50,8 +50,9 @@ def complete_recourse_problem(rng, n1=3, m2=2, n_base=2, quadratic=False, seed_e
     )
 
 
-def random_lp_problem(seed, tech):
-    """Complete-recourse LP with random rhs marginals and, if ``tech``, random C entries."""
+def random_problem(seed, tech, quadratic=False):
+    """Complete-recourse LP (or QP with a dense SPD P) with random rhs marginals and, if
+    ``tech``, random C entries."""
     rng = np.random.default_rng(seed)
     n1, m2 = int(rng.integers(2, 5)), int(rng.integers(1, 4))
     base = complete_recourse_problem(rng, n1=n1, m2=m2, n_base=int(rng.integers(1, 4)),
@@ -61,8 +62,12 @@ def random_lp_problem(seed, tech):
         for _ in range(int(rng.integers(1, 3))):
             r, c_ = int(rng.integers(m2)), int(rng.integers(n1))
             entries.append(RandomEntry("tech", r, c_, dist=Discrete((-0.5, 0.2, 0.7), (0.3, 0.3, 0.4))))
+    P = None
+    if quadratic:
+        U, _ = np.linalg.qr(rng.normal(size=(base.d.size,) * 2))
+        P = U @ np.diag(rng.uniform(0.5, 2.0, base.d.size)) @ U.T
     return TwoStageProblem(Q=base.Q, c=rng.normal(size=n1), A=base.A, b=base.b, D=base.D,
-                           d=base.d, xi=base.xi, C=base.C, stochastic_map=entries)
+                           d=base.d, xi=base.xi, C=base.C, P=P, stochastic_map=entries)
 
 
 def per_scenario_sum(p, scenarios, x):
@@ -230,51 +235,101 @@ class TestSaaFunction:
         assert med[0] >= med[1] >= med[2]
 
 
+def assert_matches_per_scenario_solves(seed, tech, quadratic):
+    p = random_problem(seed, tech, quadratic)
+    rng = np.random.default_rng(seed + 1)
+    n = int(rng.integers(4, 40))
+    F = SaaFunction(p, draw_scenarios(p, substream(seed, "grow", 0), n))
+    # A second set sharing the screen pool starts from the first one's cells.
+    T = SaaFunction(p, draw_scenarios(p, substream(seed, "test_set", 0), n),
+                    basis_hint=F._basis_hint, screen_cache=F._screen)
+    x0 = rng.normal(size=p.n1)
+    # Nearby points reuse the cells of x0; distant ones reach new cells.
+    for x in (x0, x0 + 1e-3 * rng.normal(size=p.n1), rng.normal(size=p.n1), rng.normal(size=p.n1)):
+        for G in (F, T):
+            want_f, want_g = per_scenario_sum(p, G.scenarios, x)
+            np.testing.assert_allclose(G.value(x), want_f, rtol=1e-10)
+            np.testing.assert_allclose(G.subgrad(x), want_g, rtol=1e-10, atol=1e-12)
+
+
+def assert_extend_matches_fresh_set(seed, tech, quadratic):
+    p = random_problem(seed, tech, quadratic)
+    rng = np.random.default_rng(seed + 2)
+    first = draw_scenarios(p, substream(seed, "grow", 0), int(rng.integers(1, 20)))
+    more = draw_scenarios(p, substream(seed, "grow", 1), int(rng.integers(1, 20)))
+    F = SaaFunction(p, first)
+    xs = [rng.normal(size=p.n1) for _ in range(3)]
+    for x in xs:
+        F.value_and_subgrad(x)
+    F.extend(more)
+    n = len(first) + len(more)
+    fresh = SaaFunction(p, ScenarioSet.from_arrays(
+        np.concatenate([first.xi, more.xi]), np.concatenate([first.C, more.C]),
+        np.full(n, 1.0 / n)))
+    assert len(F) == n and np.all(F.scenarios.weights == 1.0 / n)
+    for x in xs + [rng.normal(size=p.n1)]:
+        f, g = F.value_and_subgrad(x)
+        f_fresh, g_fresh = fresh.value_and_subgrad(x)
+        np.testing.assert_allclose(f, f_fresh, rtol=1e-10)
+        np.testing.assert_allclose(g, g_fresh, rtol=1e-10, atol=1e-12)
+
+
 class TestSaaDifferential:
     """The batched, array-backed oracle against one scalar recourse solve per scenario."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100_000), st.booleans())
     def test_matches_per_scenario_solves(self, seed, tech):
-        p = random_lp_problem(seed, tech)
-        rng = np.random.default_rng(seed + 1)
-        n = int(rng.integers(4, 40))
-        F = SaaFunction(p, draw_scenarios(p, substream(seed, "grow", 0), n))
-        # A second set sharing the basis pool starts from the first one's bases.
-        T = SaaFunction(p, draw_scenarios(p, substream(seed, "test_set", 0), n),
-                        basis_hint=F._basis_hint, screen_cache=F._screen)
-        for _ in range(3):
-            x = rng.normal(size=p.n1)
-            for G in (F, T):
-                want_f, want_g = per_scenario_sum(p, G.scenarios, x)
-                np.testing.assert_allclose(G.value(x), want_f, rtol=1e-10)
-                np.testing.assert_allclose(G.subgrad(x), want_g, rtol=1e-10, atol=1e-12)
+        assert_matches_per_scenario_solves(seed, tech, quadratic=False)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000), st.booleans())
     def test_extend_after_cached_evaluations_matches_fresh_set(self, seed, tech):
-        p = random_lp_problem(seed, tech)
-        rng = np.random.default_rng(seed + 2)
-        first = draw_scenarios(p, substream(seed, "grow", 0), int(rng.integers(1, 20)))
-        more = draw_scenarios(p, substream(seed, "grow", 1), int(rng.integers(1, 20)))
-        F = SaaFunction(p, first)
-        xs = [rng.normal(size=p.n1) for _ in range(3)]
-        for x in xs:
-            F.value_and_subgrad(x)
-        F.extend(more)
-        n = len(first) + len(more)
-        fresh = SaaFunction(p, ScenarioSet.from_arrays(
-            np.concatenate([first.xi, more.xi]), np.concatenate([first.C, more.C]),
-            np.full(n, 1.0 / n)))
-        assert len(F) == n and np.all(F.scenarios.weights == 1.0 / n)
-        for x in xs + [rng.normal(size=p.n1)]:
-            f, g = F.value_and_subgrad(x)
-            f_fresh, g_fresh = fresh.value_and_subgrad(x)
-            np.testing.assert_allclose(f, f_fresh, rtol=1e-10)
-            np.testing.assert_allclose(g, g_fresh, rtol=1e-10, atol=1e-12)
+        assert_extend_matches_fresh_set(seed, tech, quadratic=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans())
+    def test_qp_matches_per_scenario_solves(self, seed, tech):
+        assert_matches_per_scenario_solves(seed, tech, quadratic=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans())
+    def test_qp_extend_after_cached_evaluations_matches_fresh_set(self, seed, tech):
+        assert_extend_matches_fresh_set(seed, tech, quadratic=True)
+
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_nearby_point_needs_no_scalar_solve(self, monkeypatch, quadratic):
+        p = random_problem(21, tech=True, quadratic=quadratic)
+        F = SaaFunction(p, draw_scenarios(p, substream(5, "sample"), 30))
+        x = np.random.default_rng(5).normal(size=p.n1)
+        calls = []
+        monkeypatch.setattr("scsopt.oracle.solve_recourse",
+                            lambda *a, **kw: calls.append(1) or solve_recourse(*a, **kw))
+        F.value_and_subgrad(x)
+        assert len(calls) == 30
+        F.value_and_subgrad(x + 1e-6)
+        assert len(calls) == 30
+
+    def test_rank_deficient_working_set_is_not_pooled(self):
+        p = random_problem(33, tech=True, quadratic=True)
+        S = draw_scenarios(p, substream(6, "sample"), 12)
+        # xi = 0 and C = 0 give r = 0 at every x: y = 0 with every bound
+        # active, so D_F has no columns and the KKT matrix is singular.
+        xi, C = S.xi.copy(), S.C.copy()
+        xi[3], C[3] = 0.0, 0.0
+        S = ScenarioSet.from_arrays(xi, C, S.weights)
+        F = SaaFunction(p, S)
+        rng = np.random.default_rng(6)
+        x0 = rng.normal(size=p.n1)
+        for x in (x0, x0 + 1e-3, rng.normal(size=p.n1)):
+            want_f, want_g = per_scenario_sum(p, S, x)
+            np.testing.assert_allclose(F.value(x), want_f, rtol=1e-10)
+            np.testing.assert_allclose(F.subgrad(x), want_g, rtol=1e-10, atol=1e-12)
+        assert F._screen["info"][()] is None
+        assert () not in F._screen["order"] and F._screen["order"]
 
     def test_sums_run_in_scenario_order(self):
-        p = random_lp_problem(11, tech=True)
+        p = random_problem(11, tech=True)
         scen = draw_scenarios(p, substream(4, "sample"), 5000)
         F = SaaFunction(p, scen)
         x = np.random.default_rng(4).normal(size=p.n1)
