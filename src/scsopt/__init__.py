@@ -2,15 +2,7 @@
 
 from .baselines import SgdSolver, SmdSolver
 from .cli import RunConfig, compare, load_instance, run_experiment
-from .linalg import (
-    NullSpaceBasis,
-    null_space_basis,
-    project_affine,
-    project_null,
-    project_polyhedral,
-)
 from .model import (
-    DeterministicProgram,
     Discrete,
     Normal,
     RandomEntry,
@@ -22,44 +14,22 @@ from .model import (
     draw_scenarios,
     enumerate_support,
     extensive_form,
-    initial_feasible_point,
     true_objective,
 )
-from .native import load_native, parse_native, write_native
-from .oracle import (
-    RecourseSolution,
-    SaaFunction,
-    closed_form_dual_value,
-    closed_form_multiplier,
-    scenario_subgrad,
-    solve_lp_recourse,
-    solve_qp_bound,
-    solve_recourse,
-)
+from .native import load_native, write_native
+from .oracle import SaaFunction, solve_recourse
 from .records import CSV_HEADER, IterateRecord, read_history_csv, write_history_csv
-from .scs import (
-    ScsSolver,
-    acceptance_test,
-    conjugate_direction,
-    hoeffding_bound,
-    lambda_star,
-    line_search,
-    sample_size,
-    step_cap,
-)
-from .smps import assemble, load_smps, parse_core, parse_stoch, parse_time
+from .scs import ScsSolver
+from .smps import load_smps
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CSV_HEADER",
-    "DeterministicProgram",
     "Discrete",
     "IterateRecord",
     "Normal",
-    "NullSpaceBasis",
     "RandomEntry",
-    "RecourseSolution",
     "RunConfig",
     "SaaFunction",
     "Scenario",
@@ -70,38 +40,16 @@ __all__ = [
     "SmdSolver",
     "TwoStageProblem",
     "Uniform",
-    "acceptance_test",
-    "assemble",
-    "closed_form_dual_value",
-    "closed_form_multiplier",
     "compare",
-    "conjugate_direction",
     "draw_scenarios",
     "enumerate_support",
     "extensive_form",
-    "hoeffding_bound",
-    "initial_feasible_point",
-    "lambda_star",
-    "line_search",
     "load_instance",
     "load_native",
     "load_smps",
-    "null_space_basis",
-    "parse_core",
-    "parse_native",
-    "parse_stoch",
-    "parse_time",
-    "project_affine",
-    "project_null",
-    "project_polyhedral",
     "read_history_csv",
     "run_experiment",
-    "sample_size",
-    "scenario_subgrad",
-    "solve_lp_recourse",
-    "solve_qp_bound",
     "solve_recourse",
-    "step_cap",
     "true_objective",
     "write_history_csv",
     "write_native",

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from . import linalg, model, oracle
-from .base import ParamsMixin
+from .base import ParamsMixin, scheduled_eval
 from .records import IterateRecord
 from .rng import substream
 
@@ -84,11 +84,7 @@ class _BaselineSolver(ParamsMixin):
             x_sum += x
             rep = x_sum / (k + 1) if averaging == "uniform" else x
             f_S = F.value(rep)
-            final = k == self.iters
-            if self.eval_fn is not None and (final or self.eval_every <= 1 or k % self.eval_every == 0):
-                f_eval = float(self.eval_fn(rep))
-            else:
-                f_eval = float("nan")
+            f_eval = scheduled_eval(self, rep, k, final=k == self.iters)
             wall = (time.perf_counter() - tic) * 1e3 if self.record_wall_time else 0.0
             self.history_.append(IterateRecord(
                 k=k, f_S=f_S, f_eval=f_eval, d_norm=float(np.linalg.norm(g)),

@@ -23,7 +23,7 @@ from .exceptions import (
     ScsoptError,
     UnsupportedSolverForInstance,
 )
-from .records import IterateRecord, write_history_csv
+from .records import IterateRecord, _fmt, write_history_csv
 from .rng import derive_seed, substream
 
 _SOLVERS = ("scs", "sgd", "smd", "extensive")
@@ -92,6 +92,7 @@ def _evaluation_function(problem, seed, eval_sample_size):
 
 
 def _extensive_optimum(problem):
+    """Extensive-form optimum over the support, or None past ``_EXTENSIVE_LIMIT`` or without one."""
     size = problem.support_size()
     if size is None or size > _EXTENSIVE_LIMIT:
         return None
@@ -122,20 +123,10 @@ def run_experiment(config, log=None):
     problem, _sampler = load_instance(config.instance, config.fmt, seed=config.seed)
     os.makedirs(config.out_dir, exist_ok=True)
 
-    f_star = None
-    if config.solver == "extensive":
-        size = problem.support_size()
-        if size is None:
-            raise UnsupportedSolverForInstance(
-                "extensive form requires a finite scenario support")
-        if size > _EXTENSIVE_LIMIT:
-            raise UnsupportedSolverForInstance(
-                f"support size {size} exceeds the extensive-form limit {_EXTENSIVE_LIMIT}")
-        f_star = _extensive_optimum(problem)
-    else:
-        size = problem.support_size()
-        if size is not None and size <= _EXTENSIVE_LIMIT:
-            f_star = _extensive_optimum(problem)
+    f_star = _extensive_optimum(problem)
+    if f_star is None and config.solver == "extensive":
+        raise UnsupportedSolverForInstance(
+            f"extensive form needs a finite support of at most {_EXTENSIVE_LIMIT} scenarios")
 
     eval_fn = _evaluation_function(problem, config.seed, config.eval_sample_size)
 
@@ -181,10 +172,6 @@ def _eval_series(history, length):
     while len(series) < length:
         series.append(last)
     return series
-
-
-def _fmt(v):
-    return f"{float(v):.17g}"
 
 
 def _write_summary(path, histories, f_star):
@@ -302,6 +289,18 @@ def _config_for_solver(sections, solver):
     return params, harness
 
 
+def _run_config(args, sections, solver, out_dir):
+    """RunConfig of one solver from the command line and the config file's sections."""
+    params, harness = _config_for_solver(sections, solver)
+    return RunConfig(
+        instance=args.instance, solver=solver, fmt=args.format, params=params,
+        out_dir=out_dir, seed=args.seed,
+        replications=harness.get("replications", args.replications),
+        eval_sample_size=harness.get("eval_sample_size", 10_000),
+        eval_every=harness.get("eval_every", 1),
+    )
+
+
 def _make_parser():
     parser = argparse.ArgumentParser(
         prog="scsopt",
@@ -335,33 +334,15 @@ def main(argv=None):
     try:
         sections = parse_config_file(args.config) if args.config else {"": {}}
         if args.command == "solve":
-            params, harness = _config_for_solver(sections, args.solver)
-            config = RunConfig(
-                instance=args.instance, solver=args.solver, fmt=args.format,
-                params=params, out_dir=args.out, seed=args.seed,
-                replications=harness.get("replications", args.replications),
-                eval_sample_size=harness.get("eval_sample_size", 10_000),
-                eval_every=harness.get("eval_every", 1),
-            )
-            summary = run_experiment(config)
+            summary = run_experiment(_run_config(args, sections, args.solver, args.out))
             if summary.f_star is not None:
                 print(f"f_star={summary.f_star:.10g}")
-            for name, final in zip([config.solver] * len(summary.final_values),
-                                   summary.final_values):
-                print(f"{name} final f_eval {final:.10g}")
+            for final in summary.final_values:
+                print(f"{args.solver} final f_eval {final:.10g}")
         else:
             solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-            configs = []
-            for name in solvers:
-                params, harness = _config_for_solver(sections, name)
-                configs.append(RunConfig(
-                    instance=args.instance, solver=name, fmt=args.format,
-                    params=params, out_dir=os.path.join(args.out, name),
-                    seed=args.seed,
-                    replications=harness.get("replications", args.replications),
-                    eval_sample_size=harness.get("eval_sample_size", 10_000),
-                    eval_every=harness.get("eval_every", 1),
-                ))
+            configs = [_run_config(args, sections, name, os.path.join(args.out, name))
+                       for name in solvers]
             _table, ranking, out_path = compare(configs, out_path=os.path.join(args.out, "comparison.csv"))
             print("ranking: " + " < ".join(f"{n} ({v:.6g})" for n, v in ranking))
             print(f"table: {out_path}")

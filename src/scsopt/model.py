@@ -91,6 +91,8 @@ class RandomEntry:
     def __post_init__(self):
         if self.kind not in ("rhs", "tech"):
             raise ValueError(f"unknown stochastic entry kind {self.kind!r}")
+        if not callable(getattr(self.dist, "draw", None)):
+            raise ValueError(f"stochastic entry needs a marginal with a draw method, not {self.dist!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +287,12 @@ class ScenarioSampler:
     """Reproducible scenario stream: identical seeds give identical draws.
 
     ``sample`` advances an internal stream, so successive calls return
-    independent batches; ``spawn`` derives a statistically independent
-    sub-sampler for a structured key (used for growth/test/eval streams).
+    independent batches.
     """
 
     def __init__(self, problem, seed=0):
         self.problem = problem
         self.seed = int(seed)
-        self.mode = "finite" if problem.has_finite_support() else "generator"
         self._rng = substream(self.seed, "sample")
 
     def sample(self, n):
@@ -300,15 +300,6 @@ class ScenarioSampler:
 
     def support(self, max_scenarios=1_000_000):
         return enumerate_support(self.problem, max_scenarios=max_scenarios)
-
-    def spawn(self, *key):
-        rng = substream(self.seed, *key)
-        child = object.__new__(ScenarioSampler)
-        child.problem = self.problem
-        child.seed = self.seed
-        child.mode = self.mode
-        child._rng = rng
-        return child
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +368,8 @@ class DeterministicProgram:
 
     def solve(self):
         if self.is_lp:
-            status, value, v = _lp_with_bounds(self.lin, self.A_eq, self.b_eq, self.lb)
+            res, v = simplex.solve_lp_bounded(self.lin, self.A_eq, self.b_eq, self.lb)
+            status, value = res.status, None if v is None else self.lin @ v
         else:
             res = qpsolve.solve_qp(self.hessian(), self.lin, self.A_eq, self.b_eq, lb=self.lb)
             status, value, v = res.status, res.obj, res.x
@@ -386,29 +378,6 @@ class DeterministicProgram:
         x = v[:self.n1]
         ys = [v[self.n1 + i * self.n2: self.n1 + (i + 1) * self.n2] for i in range(self.n_scenarios)]
         return ExtensiveSolution(status="optimal", value=float(value), x=x, y=ys)
-
-
-def _lp_with_bounds(c, A, b, lb):
-    """min c'v s.t. Av = b, v >= lb with lb entries possibly -inf (free split)."""
-    m, n = A.shape
-    finite = np.isfinite(lb)
-    cols, costs, col_map = [], [], []
-    for i in range(n):
-        cols.append(A[:, i])
-        costs.append(c[i])
-        col_map.append((i, 1.0))
-        if not finite[i]:
-            cols.append(-A[:, i])
-            costs.append(-c[i])
-            col_map.append((i, -1.0))
-    shift = np.where(finite, lb, 0.0)
-    res = simplex.solve_lp(np.array(costs), np.column_stack(cols), b - A @ shift)
-    if res.status != simplex.OPTIMAL:
-        return res.status, np.nan, None
-    v = shift.copy()
-    for z_val, (i, sign) in zip(res.x, col_map):
-        v[i] += sign * z_val
-    return "optimal", float(c @ v), v
 
 
 def extensive_form(problem, scenarios):

@@ -52,31 +52,22 @@ class RecourseSolution:
     working_set: np.ndarray | None = None  # active bounds of a QP solve
 
 
-def solve_lp_recourse(d, D, rhs, basis=None):
-    """Optimal value, primal, and equality duals of min d'y s.t. Dy = rhs, y >= 0."""
-    res = simplex.solve_lp(d, D, rhs, basis=basis)
-    if res.status != simplex.OPTIMAL:
-        return RecourseSolution(h=res.obj, y=None, pi=None, status=res.status)
-    return RecourseSolution(h=res.obj, y=res.x, pi=res.pi, status="optimal", basis=res.basis)
-
-
-def solve_qp_bound(P, d, D, rhs, lower=None, y0=None, phase1_basis=None):
-    """Active-set solve of min 1/2 y'Py + d'y s.t. Dy = rhs, y >= lower (default 0)."""
-    n2 = np.asarray(d).size
-    lb = np.zeros(n2) if lower is None else np.asarray(lower, dtype=float)
-    res = qpsolve.solve_qp(P, d, D, rhs, lb=lb, x0=y0, phase1_basis=phase1_basis)
-    if res.status != qpsolve.OPTIMAL:
-        return RecourseSolution(h=res.obj, y=None, pi=None, status=res.status)
-    return RecourseSolution(h=res.obj, y=res.x, pi=res.pi, status="optimal",
-                            mu=res.mu, basis=res.phase1_basis, working_set=res.working_set)
-
-
 def solve_recourse(problem, scenario, x, basis=None):
-    x = np.asarray(x, dtype=float)
-    rhs = scenario.xi - scenario.C @ x
+    """Value, primal and equality duals of the recourse program at (x, scenario).
+
+    ``basis`` warm-starts the simplex (the phase-1 simplex of a QP).
+    """
+    rhs = scenario.xi - scenario.C @ np.asarray(x, dtype=float)
     if problem.quadratic_recourse:
-        return solve_qp_bound(problem.P, problem.d, problem.D, rhs, phase1_basis=basis)
-    return solve_lp_recourse(problem.d, problem.D, rhs, basis=basis)
+        res = qpsolve.solve_qp(problem.P, problem.d, problem.D, rhs, lb=np.zeros(problem.n2),
+                               phase1_basis=basis)
+        found = dict(mu=res.mu, basis=res.phase1_basis, working_set=res.working_set)
+    else:
+        res = simplex.solve_lp(problem.d, problem.D, rhs, basis=basis)
+        found = dict(basis=res.basis)
+    if res.status != "optimal":
+        return RecourseSolution(h=res.obj, y=None, pi=None, status=res.status)
+    return RecourseSolution(h=res.obj, y=res.x, pi=res.pi, status="optimal", **found)
 
 
 def require_optimal(sol, scenario_index=None):
@@ -185,20 +176,26 @@ class SaaFunction:
     bit-reproducible.
     """
 
-    def __init__(self, problem, scenarios, basis_hint=None, screen_cache=None):
+    def __init__(self, problem, scenarios):
         self.problem = problem
         self.scenarios = as_scenario_set(scenarios)
         self._cache = OrderedDict()
         self._bases = {}
         self._unseeded = {}  # scenario -> its own basis, not yet visited by _seed_pool
-        self._basis_hint = basis_hint
-        # Dual-feasible bases of (d, D) discovered so far; shareable across
-        # sample sets of the same problem (e.g. the growing set and the
-        # replication test sets drawn each iteration).
-        if screen_cache is None:
-            screen_cache = {"order": [], "info": {}}
-        self._screen = screen_cache
+        self._basis_hint = None  # the last basis a scalar solve returned
+        # Cells discovered so far, in discovery order; shared by siblings.
+        self._screen = {"order": [], "info": {}}
         self._shared_C = bool(np.all(self.scenarios.C == self.scenarios.C[0]))
+
+    def sibling(self, scenarios):
+        """Oracle over ``scenarios`` sharing this one's cell pool and starting from its last basis.
+
+        For sample sets of the same problem, e.g. the growing set and the
+        replication sets drawn against it.
+        """
+        out = SaaFunction(self.problem, scenarios)
+        out._screen, out._basis_hint = self._screen, self._basis_hint
+        return out
 
     def __len__(self):
         return len(self.scenarios)

@@ -62,26 +62,8 @@ def feasible_point(A, b, lb, tol=1e-9, basis=None):
         A = A.reshape(1, -1)
     b = np.asarray(b, dtype=float).reshape(-1)
     lb = np.asarray(lb, dtype=float).reshape(-1)
-    m, n = A.shape
-    finite = np.isfinite(lb)
-    cols = []
-    col_map = []  # (variable index, sign)
-    for i in range(n):
-        cols.append(A[:, i])
-        col_map.append((i, 1.0))
-        if not finite[i]:
-            cols.append(-A[:, i])
-            col_map.append((i, -1.0))
-    Az = np.column_stack(cols) if cols else np.zeros((m, 0))
-    shift = np.where(finite, lb, 0.0)
-    bz = b - A @ shift
-    res = simplex.solve_lp(np.zeros(Az.shape[1]), Az, bz, tol=tol, basis=basis)
-    if res.status != simplex.OPTIMAL:
-        return None, None
-    x = shift.copy()
-    for z_val, (i, sign) in zip(res.x, col_map):
-        x[i] += sign * z_val
-    return x, res.basis
+    res, x = simplex.solve_lp_bounded(np.zeros(A.shape[1]), A, b, lb, basis=basis, tol=tol)
+    return (x, res.basis) if x is not None else (None, None)
 
 
 def solve_qp(H, g, A, b, lb=None, x0=None, tol=1e-9, max_iter=None, phase1_basis=None):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, model, oracle
-from .base import ParamsMixin
+from .base import ParamsMixin, scheduled_eval
 from .exceptions import (
     EmptyNullSpace,
     InfeasibleRegion,
@@ -96,33 +96,37 @@ def lambda_star(g_tilde, d_prev_tilde):
 
 
 def conjugate_direction(g_tilde, d_prev_tilde):
-    """New search direction: minus the minimum-norm convex combination."""
+    """(d, lam): minus the minimum-norm convex combination, and its weight."""
     g = np.asarray(g_tilde, dtype=float)
     d = np.asarray(d_prev_tilde, dtype=float)
     lam = lambda_star(g, d)
-    return -(lam * (-d) + (1.0 - lam) * g)
+    return -(lam * (-d) + (1.0 - lam) * g), lam
 
 
-def step_cap(x, d_tilde, delta, lower_bounds):
-    """Largest step keeping x + t d inside the radius-delta ball and above bounds.
+def step_cap(x, d_tilde, delta, lower_bounds, active):
+    """(t_max, bound_blocked): largest step keeping x + t d in the ball and above bounds.
 
-    Raises ZeroCap when x sits on a bound that d points out of, i.e. no
-    strictly positive step is feasible.
+    The ratio test skips the ``active`` bounds, whose coordinates the
+    direction keeps fixed; ``bound_blocked`` says a bound, not the radius,
+    set the cap.  Raises ZeroCap when no strictly positive step is feasible.
     """
+    x = np.asarray(x, dtype=float)
     d = np.asarray(d_tilde, dtype=float)
     dn = float(np.linalg.norm(d))
     if dn <= 0.0:
         raise ValueError("direction must be nonzero")
-    t_max = delta / dn
+    t_ball = delta / dn
+    t_bound = np.inf
     if lower_bounds is not None:
-        x = np.asarray(x, dtype=float)
         lb = np.asarray(lower_bounds, dtype=float)
         dec = (d < -1e-13 * (1.0 + np.abs(d).max())) & np.isfinite(lb)
         for i in np.flatnonzero(dec):
-            t_max = min(t_max, (x[i] - lb[i]) / (-d[i]))
-    if t_max <= 1e-14 * max(1.0, delta / dn):
-        raise ZeroCap("incumbent sits on a bound the direction points out of")
-    return t_max
+            if i not in active:
+                t_bound = min(t_bound, (x[i] - lb[i]) / (-d[i]))
+    t_max = min(t_ball, t_bound)
+    if t_max <= 1e-14 * max(1.0, t_ball):
+        raise ZeroCap("no strictly positive feasible step along the direction")
+    return t_max, bool(t_bound <= t_ball)
 
 
 @dataclass
@@ -136,7 +140,6 @@ class LineSearchResult:
     f_before: float = np.nan
     f_after: float = np.nan
     trial_points: list = field(default_factory=list)
-    x_last: np.ndarray | None = None  # final trial point, kept on failure too
     boundary: bool = False  # step taken to a blocking bound on decrease alone
     x_cut: np.ndarray | None = None  # trial with the largest directional derivative
 
@@ -186,11 +189,11 @@ def line_search(F, Z, x, d_tilde, m1, m2, t_max, max_bisections=60,
         if gd > gd_cut:
             gd_cut, x_cut = gd, xt
         if in_L and (0.0 > gd >= -m1 * dsq):
-            return LineSearchResult(True, t, xt, gt, "ok", evals, f0, ft, trials, xt)
+            return LineSearchResult(True, t, xt, gt, "ok", evals, f0, ft, trials)
         if (accept_boundary and evals == 1 and in_L and gd < -m1 * dsq
                 and t * math.sqrt(dsq) > boundary_floor):
             return LineSearchResult(True, t, xt, gt, "boundary", evals, f0, ft,
-                                    trials, xt, boundary=True)
+                                    trials, boundary=True)
         if (not in_L) or gd >= 0.0:
             t_hi = t
         else:
@@ -204,7 +207,7 @@ def line_search(F, Z, x, d_tilde, m1, m2, t_max, max_bisections=60,
     # On failure the most useful subgradient for the next convex combination
     # is the one that cuts the current direction hardest (largest <g(t), d>).
     return LineSearchResult(False, 0.0, None, None, reason, len(trials), f0, np.nan,
-                            trials, xt, x_cut=x_cut)
+                            trials, x_cut=x_cut)
 
 
 def acceptance_test(F_S, F_T, x_cand, x_hat_prev, d_norm, eta1, eta2, delta):
@@ -226,6 +229,12 @@ def acceptance_test(F_S, F_T, x_cand, x_hat_prev, d_norm, eta1, eta2, delta):
 
 # ---------------------------------------------------------------------------
 # solver
+
+def _face_rows(problem, active):
+    """(M, idx): the equality rows stacked over e_i' for the active bounds i in idx."""
+    idx = sorted(active)
+    return np.vstack([problem.A, np.eye(problem.n1)[idx]]), idx
+
 
 @dataclass
 class IterationDiagnostics:
@@ -369,14 +378,8 @@ class ScsSolver(ParamsMixin):
         Zf = cache.get(active)
         if Zf is not None or active in cache:
             return Zf
-        rows = [problem.A]
-        n1 = problem.n1
-        for i in sorted(active):
-            e = np.zeros(n1)
-            e[i] = 1.0
-            rows.append(e.reshape(1, -1))
         try:
-            Zf = linalg.null_space_basis(np.vstack(rows))
+            Zf = linalg.null_space_basis(_face_rows(problem, active)[0])
         except EmptyNullSpace:
             Zf = None  # the face is a single point
         cache[active] = Zf
@@ -392,20 +395,11 @@ class ScsSolver(ParamsMixin):
         """
         if not active:
             return x
-        n1 = problem.n1
-        rows = [problem.A]
-        rhs = [problem.b]
-        for i in sorted(active):
-            e = np.zeros(n1)
-            e[i] = 1.0
-            rows.append(e.reshape(1, -1))
-            rhs.append(np.array([problem.lower_bounds[i]]))
-        M = np.vstack(rows)
-        r = M @ x - np.concatenate(rhs)
+        M, idx = _face_rows(problem, active)
+        r = M @ x - np.concatenate([problem.b, problem.lower_bounds[idx]])
         corr, *_ = np.linalg.lstsq(M, r, rcond=None)
         z = x - corr
-        for i in active:
-            z[i] = problem.lower_bounds[i]
+        z[idx] = problem.lower_bounds[idx]
         return z
 
     def _release_candidate(self, problem, F_S, x_hat, active, face_cache, delta):
@@ -473,22 +467,6 @@ class ScsSolver(ParamsMixin):
             step = min(step, 0.4 * (x_hat[j] - lb[j]) / (-direction[j]))
         return x_hat + step * direction
 
-    def _caps(self, x, d, delta, lb, active):
-        """(t_max, bound_blocked): radius cap and ratio test over inactive bounds."""
-        dn = float(np.linalg.norm(d))
-        t_ball = delta / dn
-        t_bound = np.inf
-        if lb is not None:
-            dec = (d < -1e-13 * (1.0 + np.abs(d).max())) & np.isfinite(lb)
-            for i in np.flatnonzero(dec):
-                if i in active:
-                    continue
-                t_bound = min(t_bound, (x[i] - lb[i]) / (-d[i]))
-        t_max = min(t_ball, t_bound)
-        if t_max <= 1e-14 * max(1.0, t_ball):
-            raise ZeroCap("no strictly positive feasible step along the direction")
-        return t_max, bool(t_bound <= t_ball)
-
     def fit(self, problem):
         self._validate()
         lo, hi = self._recourse_bounds(problem)
@@ -509,14 +487,12 @@ class ScsSolver(ParamsMixin):
         self.null_space_ = Z
         self.kappa_ = self._pilot_kappa(problem, x0)
 
-        screen_cache = {"order": [], "info": {}}
         if self.sampling == "full":
             S = model.enumerate_support(problem)
-            F_S = oracle.SaaFunction(problem, S, screen_cache=screen_cache)
         else:
             n0 = sample_size(self.kappa_eps, spread, self.kappa_, self.delta0, self.max_sample)
             S = model.draw_scenarios(problem, substream(self.seed, "grow", 0), n0)
-            F_S = oracle.SaaFunction(problem, S, screen_cache=screen_cache)
+        F_S = oracle.SaaFunction(problem, S)
 
         x_hat = x0
         scale0 = 1.0 + float(np.abs(x0).max(initial=0.0))
@@ -575,8 +551,7 @@ class ScsSolver(ParamsMixin):
                 else:
                     g_t = linalg.project_null(Z_face, g)
                     d_prev_t = linalg.project_null(Z_face, d_prev)
-                lam = lambda_star(g_t, d_prev_t)
-                d = -(lam * (-d_prev_t) + (1.0 - lam) * g_t)
+                d, lam = conjugate_direction(g_t, d_prev_t)
                 dn = float(np.linalg.norm(d))
                 if dn > self.eps:
                     break
@@ -608,7 +583,7 @@ class ScsSolver(ParamsMixin):
                 f_S = F_S.value(x_hat)
                 wall = (time.perf_counter() - tic) * 1e3 if self.record_wall_time else 0.0
                 self.history_.append(IterateRecord(
-                    k=k, f_S=f_S, f_eval=self._eval(x_hat, k, final=True),
+                    k=k, f_S=f_S, f_eval=scheduled_eval(self, x_hat, k, final=True),
                     d_norm=dn, delta=delta, sample_size=len(F_S), step_t=0.0,
                     accepted=False, wall_ms=wall))
                 self.diagnostics_.append(IterationDiagnostics(
@@ -619,7 +594,7 @@ class ScsSolver(ParamsMixin):
                 break
 
             try:
-                t_max, _ = self._caps(x_hat, d, delta, lb, active)
+                t_max, _ = step_cap(x_hat, d, delta, lb, active)
                 ls = line_search(F_S, Z_face, x_hat, d, self.m1, self.m2, t_max,
                                  self.max_bisections, accept_boundary=True,
                                  boundary_floor=thickness)
@@ -637,12 +612,8 @@ class ScsSolver(ParamsMixin):
                     extra = model.draw_scenarios(
                         problem, substream(self.seed, "grow", k), target - len(F_S))
                     F_S.extend(extra)
-                F_T = oracle.SaaFunction(
-                    problem,
-                    model.draw_scenarios(problem, substream(self.seed, "test_set", k), len(F_S)),
-                    basis_hint=F_S._basis_hint,
-                    screen_cache=screen_cache,
-                )
+                F_T = F_S.sibling(
+                    model.draw_scenarios(problem, substream(self.seed, "test_set", k), len(F_S)))
             else:
                 F_T = F_S
 
@@ -677,7 +648,7 @@ class ScsSolver(ParamsMixin):
             f_S = F_S.value(x_hat)
             wall = (time.perf_counter() - tic) * 1e3 if self.record_wall_time else 0.0
             self.history_.append(IterateRecord(
-                k=k, f_S=f_S, f_eval=self._eval(x_hat, k),
+                k=k, f_S=f_S, f_eval=scheduled_eval(self, x_hat, k),
                 d_norm=dn, delta=delta, sample_size=len(F_S),
                 step_t=ls.t if ls.success else 0.0,
                 accepted=accepted, wall_ms=wall))
@@ -719,13 +690,6 @@ class ScsSolver(ParamsMixin):
         self.d_norm_ = self.history_[-1].d_norm if self.history_ else 0.0
         return self
 
-    def _eval(self, x, k, final=False):
-        if self.eval_fn is None:
-            return float("nan")
-        if final or self.eval_every <= 1 or k % self.eval_every == 0:
-            return float(self.eval_fn(x))
-        return float("nan")
-
     def _finalize_fixed_point(self, problem, x0):
         x = x0
         if problem.lower_bounds is not None and np.any(x < problem.lower_bounds - 1e-9):
@@ -741,6 +705,6 @@ class ScsSolver(ParamsMixin):
         self.f_in_sample_ = F.value(x)
         self.d_norm_ = 0.0
         self.history_.append(IterateRecord(
-            k=1, f_S=self.f_in_sample_, f_eval=self._eval(x, 1, final=True),
+            k=1, f_S=self.f_in_sample_, f_eval=scheduled_eval(self, x, 1, final=True),
             d_norm=0.0, delta=self.delta0, sample_size=len(F), step_t=0.0,
             accepted=False, wall_ms=0.0))

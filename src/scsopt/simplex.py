@@ -65,6 +65,26 @@ def solve_lp(c, A, b, basis=None, tol=1e-9, max_iter=None):
     return _cold_solve(c, A, b, tol, max_iter)
 
 
+def solve_lp_bounded(c, A, b, lb, basis=None, tol=1e-9):
+    """(LpResult, v) for min c'v s.t. Av = b, v >= lb, with lb entries possibly -inf.
+
+    Finite bounds are shifted to zero and each free variable is split into a
+    positive and a negative column, placed next to each other; ``basis`` and
+    the result refer to the split program.  v is None unless it is optimal.
+    """
+    finite = np.isfinite(lb)
+    col = np.repeat(np.arange(A.shape[1]), np.where(finite, 1, 2))
+    sign = np.ones(col.size)
+    sign[1:][col[1:] == col[:-1]] = -1.0
+    shift = np.where(finite, lb, 0.0)
+    res = solve_lp(c[col] * sign, A[:, col] * sign, b - A @ shift, basis=basis, tol=tol)
+    if res.status != OPTIMAL:
+        return res, None
+    v = shift.copy()
+    np.add.at(v, col, sign * res.x)
+    return res, v
+
+
 def _invert(B):
     try:
         B_inv = np.linalg.inv(B)

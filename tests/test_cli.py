@@ -69,6 +69,13 @@ def test_extensive_rejects_infinite_support(tmp_path):
         run_experiment(cfg, log=lambda m: None)
 
 
+def test_extensive_rejects_support_above_limit(tmp_path, instance_path, monkeypatch):
+    monkeypatch.setattr("scsopt.cli._EXTENSIVE_LIMIT", 8)  # the fixture's support has 9
+    cfg = RunConfig(instance=instance_path, solver="extensive", out_dir=str(tmp_path), seed=0)
+    with pytest.raises(UnsupportedSolverForInstance, match="at most 8"):
+        run_experiment(cfg, log=lambda m: None)
+
+
 def test_eval_series_padding(tmp_path, instance_path):
     cfg = RunConfig(instance=instance_path, solver="sgd",
                     params=dict(batch=2, iters=8), eval_sample_size=32,

@@ -53,6 +53,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum"):
             Discrete((0.0, 1.0), (0.5, 0.4))
 
+    def test_random_entry_needs_a_marginal(self):
+        with pytest.raises(ValueError, match="draw method"):
+            RandomEntry("rhs", 0)
+        with pytest.raises(ValueError, match="draw method"):
+            RandomEntry("tech", 0, 1, dist=(0.0, 1.0))
+
     def test_scenario_weights_must_sum(self):
         s = Scenario(xi=np.zeros(1), C=np.zeros((1, 1)), weight=0.25)
         with pytest.raises(ValueError, match="sum"):
@@ -105,9 +111,8 @@ class TestSampling:
     def test_spawned_substreams_differ(self):
         p = simple_problem(stochastic_map=[
             RandomEntry("rhs", 0, dist=Normal(0.0, 1.0))])
-        s = ScenarioSampler(p, seed=9)
-        a = s.spawn("grow", 1).sample(5)
-        b = s.spawn("test_set", 1).sample(5)
+        a = draw_scenarios(p, substream(9, "grow", 1), 5)
+        b = draw_scenarios(p, substream(9, "test_set", 1), 5)
         assert not np.array_equal([x.xi[0] for x in a], [x.xi[0] for x in b])
 
 

@@ -241,8 +241,7 @@ def assert_matches_per_scenario_solves(seed, tech, quadratic):
     n = int(rng.integers(4, 40))
     F = SaaFunction(p, draw_scenarios(p, substream(seed, "grow", 0), n))
     # A second set sharing the screen pool starts from the first one's cells.
-    T = SaaFunction(p, draw_scenarios(p, substream(seed, "test_set", 0), n),
-                    basis_hint=F._basis_hint, screen_cache=F._screen)
+    T = F.sibling(draw_scenarios(p, substream(seed, "test_set", 0), n))
     x0 = rng.normal(size=p.n1)
     # Nearby points reuse the cells of x0; distant ones reach new cells.
     for x in (x0, x0 + 1e-3 * rng.normal(size=p.n1), rng.normal(size=p.n1), rng.normal(size=p.n1)):

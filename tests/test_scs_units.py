@@ -68,11 +68,14 @@ class TestLambdaStar:
 class TestConjugateDirection:
     def test_first_iteration_is_projected_subgradient(self):
         g = np.array([2.0, -1.0])
-        np.testing.assert_allclose(conjugate_direction(g, np.zeros(2)), -g)
+        d, lam = conjugate_direction(g, np.zeros(2))
+        np.testing.assert_allclose(d, -g)
+        assert lam == 0.0
 
     def test_hand_case(self):
-        d = conjugate_direction(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        d, lam = conjugate_direction(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         np.testing.assert_allclose(d, [-0.5, 0.5])
+        assert lam == pytest.approx(0.5)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 100_000))
@@ -80,7 +83,7 @@ class TestConjugateDirection:
         rng = np.random.default_rng(seed)
         g = rng.normal(size=4)
         d_prev = rng.normal(size=4)
-        d = conjugate_direction(g, d_prev)
+        d, _ = conjugate_direction(g, d_prev)
         assert np.linalg.norm(d) <= np.linalg.norm(g) + 1e-12
         assert float(d @ g) <= -float(d @ d) + 1e-10
 
@@ -88,15 +91,33 @@ class TestConjugateDirection:
 class TestStepCap:
     def test_no_bounds(self):
         d = np.array([3.0, 4.0])
-        assert step_cap(np.zeros(2), d, 10.0, None) == pytest.approx(2.0)
+        t, blocked = step_cap(np.zeros(2), d, 10.0, None, frozenset())
+        assert t == pytest.approx(2.0)
+        assert not blocked
 
     def test_ratio_test(self):
-        t = step_cap(np.array([1.0, 1.0]), np.array([-1.0, 0.0]), 10.0, np.zeros(2))
+        t, _ = step_cap(np.array([1.0, 1.0]), np.array([-1.0, 0.0]), 10.0, np.zeros(2), frozenset())
         assert t == pytest.approx(1.0)
 
     def test_zero_cap_on_bound(self):
         with pytest.raises(ZeroCap):
-            step_cap(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), 10.0, np.zeros(2))
+            step_cap(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), 10.0, np.zeros(2), frozenset())
+
+    def test_active_bound_is_skipped(self):
+        # x sits on bound 0 and d points out of it: with the bound active the
+        # ratio test ignores it, and bound 1 sets the cap.
+        x, d, lb = np.array([0.0, 2.0]), np.array([-1.0, -1.0]), np.zeros(2)
+        t, blocked = step_cap(x, d, 10.0, lb, frozenset({0}))
+        assert t == pytest.approx(2.0)
+        assert blocked
+
+    @pytest.mark.parametrize("gap, blocked", [(0.5, True), (2.0, True), (3.0, False)])
+    def test_bound_blocked_iff_bound_within_ball(self, gap, blocked):
+        # ||d|| = 1 and delta = 2: the ball allows t = 2, bound 0 allows t = gap.
+        x, d = np.array([gap, 0.0]), np.array([-1.0, 0.0])
+        t, got = step_cap(x, d, 2.0, np.array([0.0, -np.inf]), frozenset())
+        assert t == pytest.approx(min(gap, 2.0))
+        assert got is blocked
 
 
 class _Quadratic:
