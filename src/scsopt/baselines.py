@@ -54,10 +54,7 @@ class _BaselineSolver(ParamsMixin):
         The classical sqrt-rate step policy; the pilot supplies the scale when
         the caller does not.
         """
-        rng = substream(self.seed, "pilot")
-        pilot = model.draw_scenarios(problem, rng, 32)
-        F = oracle.SaaFunction(problem, pilot)
-        g_hat = float(np.linalg.norm(F.subgrad(x0)))
+        g_hat = float(np.linalg.norm(oracle.pilot(problem, self.seed).subgrad(x0)))
         d_hat = 1.0 + float(np.linalg.norm(x0))
         return d_hat, max(g_hat, 1e-8)
 
@@ -65,22 +62,17 @@ class _BaselineSolver(ParamsMixin):
         self._validate()
         averaging = self.averaging or self.averaging_default
         x = model.initial_feasible_point(problem)
-        lb = problem.lower_bounds
-        A, b = problem.A, problem.b
         self._resolve_scale(problem, x)
         x_sum = x.copy()
         self.history_ = []
         for k in range(1, self.iters + 1):
             tic = time.perf_counter() if self.record_wall_time else 0.0
             batch = model.draw_scenarios(problem, substream(self.seed, "batch", k), self.batch)
-            F = oracle.SaaFunction(problem, batch)
+            F = oracle.SaaFunction(problem, batch) if k == 1 else F.sibling(batch)
             g = F.subgrad(x)
             alpha = self._step(k)
-            x_raw = x - alpha * g
-            if lb is not None and np.any(np.isfinite(lb)):
-                x = linalg.project_polyhedral(A, b, lb, x_raw)
-            else:
-                x = linalg.project_affine(A, b, x_raw)
+            x = linalg.project_polyhedral(problem.A, problem.b, problem.lower_bounds,
+                                          x - alpha * g)
             x_sum += x
             rep = x_sum / (k + 1) if averaging == "uniform" else x
             f_S = F.value(rep)

@@ -33,12 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qpsolve, simplex
+from . import model, qpsolve, simplex
 from .base import as_vector
 from .exceptions import NumericalBreakdown, RankDeficientD, RecourseInfeasible
 from .model import ScenarioSet, as_scenario_set
+from .rng import substream
 
 _CACHE_LIMIT = 128
+_PILOT_SIZE = 32
 
 
 @dataclass
@@ -88,6 +90,11 @@ def scenario_subgrad(problem, x, scenario):
     """(h, v) at one scenario: v = -C' pi from the recourse program's equality duals."""
     sol = require_optimal(solve_recourse(problem, scenario, x))
     return sol.h, -scenario.C.T @ sol.pi
+
+
+def pilot(problem, seed):
+    """Oracle over the pilot sample that sets a solver's scale at its starting point."""
+    return SaaFunction(problem, model.draw_scenarios(problem, substream(seed, "pilot"), _PILOT_SIZE))
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +164,10 @@ class SaaFunction:
     """Sample-average objective F(x) = c(x) + sum_i w_i h(x, omega_i).
 
     Per-scenario recourse values and subgradients are cached per evaluation
-    point (bounded LRU) as one N x (1 + n1) array of rows [h_i | v_i] and a
-    mask of the rows filled so far.  Scalar solves are warm-started from each
-    scenario's previous basis (the phase-1 basis of a QP).  Missing scenarios
-    are screened against a pool of cells in one matrix product per cell:
+    point (bounded LRU) as one array of rows [h_i | v_i], complete for the
+    first len(rows) scenarios; a grown set fills only its new rows.  Missing
+    scenarios are screened against a pool of cells in one matrix product per
+    cell:
 
     * an LP cell is a dual-feasible basis B (dual feasibility depends only on
       (d, D)); a scenario whose basic solution B^-1 r is nonnegative is
@@ -171,7 +178,9 @@ class SaaFunction:
       pi is affine in r.  A singular or ill-conditioned KKT matrix (e.g. when
       the free columns of D lose rank) is never pooled.
 
-    Only scenarios outside every pooled cell reach ``solve_recourse``.
+    A scenario outside every pooled cell reaches ``solve_recourse``,
+    warm-started from the last basis a solve returned (the phase-1 basis of a
+    QP), and its cell joins the pool before the rest are screened again.
     Scenario order is fixed and the sums below run in it, so results are
     bit-reproducible.
     """
@@ -180,8 +189,6 @@ class SaaFunction:
         self.problem = problem
         self.scenarios = as_scenario_set(scenarios)
         self._cache = OrderedDict()
-        self._bases = {}
-        self._unseeded = {}  # scenario -> its own basis, not yet visited by _seed_pool
         self._basis_hint = None  # the last basis a scalar solve returned
         # Cells discovered so far, in discovery order; shared by siblings.
         self._screen = {"order": [], "info": {}}
@@ -277,81 +284,57 @@ class SaaFunction:
         """N x (1 + n1) array whose row i is [h_i | v_i] at x."""
         key = x.tobytes()
         n = len(self.scenarios)
-        cached = self._cache.get(key)
-        if cached is None:
-            rows, done = np.empty((n, 1 + self.problem.n1)), np.zeros(n, dtype=bool)
-        else:
-            self._cache.move_to_end(key)
-            rows, done = cached
-            if done.size < n:  # the set grew since x was cached
-                rows = np.vstack([rows, np.empty((n - done.size, rows.shape[1]))])
-                done = np.concatenate([done, np.zeros(n - done.size, dtype=bool)])
-        self._cache[key] = (rows, done)
-        missing = np.flatnonzero(~done)
-        if missing.size >= 4:
-            self._solve_batched(x, missing, rows, done)
-            missing = np.flatnonzero(~done)
-        for i in missing.tolist():
-            s = self.scenarios[i]
-            basis = self._bases.get(i, self._basis_hint)
-            sol = solve_recourse(self.problem, s, x, basis=basis)
-            require_optimal(sol, i)
-            if sol.basis is not None:
-                self._bases[i] = self._basis_hint = sol.basis
-                ws = sol.working_set
-                self._unseeded[i] = sol.basis if ws is None else np.flatnonzero(~ws)
-            rows[i, 0] = sol.h
-            rows[i, 1:] = -s.C.T @ sol.pi
-            done[i] = True
+        rows = self._cache.pop(key, np.empty((0, 1 + self.problem.n1)))
+        done = len(rows)
+        if done < n:  # a new point, or the set grew since x was cached
+            rows = np.vstack([rows, np.empty((n - done, rows.shape[1]))])
+            self._fill(x, np.arange(done, n), rows)
+        self._cache[key] = rows
         while len(self._cache) > _CACHE_LIMIT:
             self._cache.popitem(last=False)
         return rows
 
-    def _seed_pool(self, missing, done):
-        """Pool the cells missing scenarios start from (own last cell, else the hint basis).
+    def _fill(self, x, missing, rows):
+        """Write the rows of the scenarios ``missing``: screen, solve one, pool its cell, repeat.
 
-        In order of first appearance; the shared pool keeps what it screened.
-        """
-        visits = {i: b for i, b in self._unseeded.items() if not done[i]}
-        hint_at = next((i for i in missing.tolist() if i not in self._bases), None)
-        if self._basis_hint is not None and hint_at is not None:
-            visits[hint_at] = self._basis_hint
-        for i in sorted(visits):
-            self._pool(tuple(visits[i].tolist()))
-            self._unseeded.pop(i, None)
-
-    def _solve_batched(self, x, missing, rows, done):
-        """Fill the rows of every missing scenario optimal in a known cell.
-
-        Each pooled cell is screened against all still-missing right-hand
-        sides at once; the first cell (in discovery order) that
-        solves a scenario settles it.  Only scenarios falling outside every
-        known cell reach the scalar solver.
+        The missing right-hand sides are screened against the pooled cells in
+        discovery order; the first cell that solves a scenario settles it.
+        While scenarios remain, the first of them is solved warm-started from
+        the last basis, its cell joins the pool, and the rest are screened
+        against the cells added since the last pass.
         """
         S = self.scenarios
-        self._seed_pool(missing, done)
         sub = S.xi[missing] - S.C[missing] @ x
         tol = 1e-9 * (1.0 + np.abs(sub).max(axis=1))
-        open_pos = np.arange(missing.size)
         settle = self._settle_qp if self.problem.quadratic_recourse else self._settle_lp
-        for key in self._screen["order"]:
-            settled = settle(self._screen["info"][key], sub, tol)
-            if settled is None:
-                continue
-            hit, h, pi = settled
-            idx = missing[open_pos[hit]]
-            rows[idx, 0] = h
-            if pi.ndim == 2:  # QP duals vary with the right-hand side
-                rows[idx, 1:] = -np.einsum("imn,im->in", S.C[idx], pi)
-            elif self._shared_C:
-                rows[idx, 1:] = -S.C[0].T @ pi
-            else:
-                rows[idx, 1:] = -S.C[idx].transpose(0, 2, 1) @ pi
-            done[idx] = True
-            miss = ~hit
-            if not miss.any():
-                break
-            open_pos, sub, tol = open_pos[miss], sub[miss], tol[miss]
+        order, screened = self._screen["order"], 0
+        while missing.size:
+            for key in order[screened:]:
+                settled = settle(self._screen["info"][key], sub, tol)
+                if settled is None:
+                    continue
+                hit, h, pi = settled
+                idx = missing[hit]
+                rows[idx, 0] = h
+                if pi.ndim == 2:  # QP duals vary with the right-hand side
+                    rows[idx, 1:] = -np.einsum("imn,im->in", S.C[idx], pi)
+                elif self._shared_C:
+                    rows[idx, 1:] = -S.C[0].T @ pi
+                else:
+                    rows[idx, 1:] = -S.C[idx].transpose(0, 2, 1) @ pi
+                missing, sub, tol = missing[~hit], sub[~hit], tol[~hit]
+                if not missing.size:
+                    return
+            screened = len(order)
+            i = int(missing[0])
+            s = S[i]
+            sol = require_optimal(solve_recourse(self.problem, s, x, basis=self._basis_hint), i)
+            rows[i, 0] = sol.h
+            rows[i, 1:] = -s.C.T @ sol.pi
+            self._basis_hint = sol.basis
+            free = sol.basis if sol.working_set is None else np.flatnonzero(~sol.working_set)
+            self._pool(tuple(free.tolist()))
+            missing, sub, tol = missing[1:], sub[1:], tol[1:]
 
     def _value(self, x, rows):
         h = np.ascontiguousarray(rows[:, 0])

@@ -66,7 +66,7 @@ def feasible_point(A, b, lb, tol=1e-9, basis=None):
     return (x, res.basis) if x is not None else (None, None)
 
 
-def solve_qp(H, g, A, b, lb=None, x0=None, tol=1e-9, max_iter=None, phase1_basis=None):
+def solve_qp(H, g, A, b, lb=None, tol=1e-9, max_iter=None, phase1_basis=None):
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
     n = g.size
@@ -87,22 +87,10 @@ def solve_qp(H, g, A, b, lb=None, x0=None, tol=1e-9, max_iter=None, phase1_basis
         max_iter = 100 * (n + m + 10)
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(lb[np.isfinite(lb)]).max(initial=0.0))
-    feas_tol = 1e-8 * scale
 
-    x = None
-    out_basis = None
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if (
-            x0.size == n
-            and float(np.abs(A @ x0 - b).max(initial=0.0)) <= feas_tol
-            and np.all(x0 >= lb - feas_tol)
-        ):
-            x = np.maximum(x0, lb)
+    x, out_basis = feasible_point(A, b, lb, tol=tol, basis=phase1_basis)
     if x is None:
-        x, out_basis = feasible_point(A, b, lb, tol=tol, basis=phase1_basis)
-        if x is None:
-            return QpResult(INFEASIBLE, None, np.inf, None, None, None, 0)
+        return QpResult(INFEASIBLE, None, np.inf, None, None, None, 0)
 
     bounded = np.isfinite(lb)
     act_tol = 1e-9 * scale

@@ -262,7 +262,8 @@ class ScsSolver(ParamsMixin):
     eta1, eta2 : acceptance-test constants, eta1 > 1, eta2 > 0.
     gamma : radius growth/shrink factor, > 1.
     delta0, delta_max : initial radius and its cap.
-    delta_min : radius floor applied on rejections (None: delta0 / 1000).
+    delta_min : radius floor applied on rejections, at most delta0 (None:
+        min(delta0 / 1000, 0.1 * eps / eta2)).
         The sampling schedule's accuracy argument presupposes a positive
         smallest radius; without a floor, a run whose sample size is capped
         can shrink the radius geometrically and strangle its own steps.
@@ -293,8 +294,7 @@ class ScsSolver(ParamsMixin):
                  delta0=1.0, delta_max=100.0, delta_min=None, kappa=None,
                  kappa_eps=0.05, bound_lo=None, bound_hi=None, max_iter=500,
                  max_sample=2000, seed=0, sampling="iid", tau=1e-6,
-                 pilot_size=32, max_bisections=60, eval_fn=None, eval_every=1,
-                 track_trials=True, record_wall_time=True):
+                 eval_fn=None, eval_every=1, track_trials=True, record_wall_time=True):
         self.eps = eps
         self.m1 = m1
         self.m2 = m2
@@ -313,8 +313,6 @@ class ScsSolver(ParamsMixin):
         self.seed = seed
         self.sampling = sampling
         self.tau = tau
-        self.pilot_size = pilot_size
-        self.max_bisections = max_bisections
         self.eval_fn = eval_fn
         self.eval_every = eval_every
         self.track_trials = track_trials
@@ -333,6 +331,8 @@ class ScsSolver(ParamsMixin):
             raise ValueError("gamma must exceed 1")
         if not 0.0 < self.delta0 <= self.delta_max:
             raise ValueError("need 0 < delta0 <= delta_max")
+        if self.delta_min is not None and self.delta_min > self.delta0:
+            raise ValueError("delta_min must not exceed delta0")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         if not 0.0 < self.kappa_eps < 1.0:
@@ -358,14 +358,8 @@ class ScsSolver(ParamsMixin):
     def _pilot_kappa(self, problem, x0):
         if self.kappa is not None:
             return float(self.kappa)
-        rng = substream(self.seed, "pilot")
-        pilot = model.draw_scenarios(problem, rng, self.pilot_size)
-        base = problem.Q @ x0 + problem.c
-        L_hat = 0.0
-        for i, s in enumerate(pilot):
-            sol = oracle.solve_recourse(problem, s, x0)
-            oracle.require_optimal(sol, i)
-            L_hat = max(L_hat, float(np.linalg.norm(base - s.C.T @ sol.pi)))
+        v = oracle.pilot(problem, self.seed)._solutions(x0)[:, 1:]
+        L_hat = float(np.linalg.norm(problem.Q @ x0 + problem.c + v, axis=1).max())
         return max(4.0 * L_hat / self.delta0, 1.0)
 
     # -- main loop ----------------------------------------------------------
@@ -503,8 +497,6 @@ class ScsSolver(ParamsMixin):
             # Keep the floor low enough that the norm condition
             # ||d|| > eta2 * delta can still pass near termination.
             delta_floor = min(self.delta0 * 1e-3, 0.1 * self.eps / self.eta2)
-        if delta_floor > self.delta0:
-            raise ValueError("delta_min must not exceed delta0")
         face_cache = {}
         active = frozenset()
         Z_face = self._face_basis(problem, active, face_cache)
@@ -596,8 +588,7 @@ class ScsSolver(ParamsMixin):
             try:
                 t_max, _ = step_cap(x_hat, d, delta, lb, active)
                 ls = line_search(F_S, Z_face, x_hat, d, self.m1, self.m2, t_max,
-                                 self.max_bisections, accept_boundary=True,
-                                 boundary_floor=thickness)
+                                 accept_boundary=True, boundary_floor=thickness)
             except ZeroCap:
                 t_max = 0.0
                 ls = LineSearchResult(False, reason="zero_cap", f_before=F_S.value(x_hat))

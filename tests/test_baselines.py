@@ -70,6 +70,22 @@ def test_identical_batch_streams_across_solvers():
             np.testing.assert_array_equal(s.xi, t.xi)
 
 
+@pytest.mark.parametrize("cls", [SgdSolver, SmdSolver])
+def test_shared_screen_pool_matches_fresh_oracles(monkeypatch, cls):
+    # Each step's oracle is a sibling of the last, sharing its cell pool; a
+    # fresh oracle per step must give the same iterates.
+    p = make_two_stage(seed=47, n1=4, m1=1, m2=2, n_base=2, rhs_random=2, tech_random=1,
+                       support_k=(3, 3))
+    shared = cls(batch=6, iters=30, seed=2, record_wall_time=False).fit(p)
+    monkeypatch.setattr(SaaFunction, "sibling", lambda self, batch: SaaFunction(self.problem, batch))
+    fresh = cls(batch=6, iters=30, seed=2, record_wall_time=False).fit(p)
+    np.testing.assert_allclose(shared.x_, fresh.x_, rtol=1e-10)
+    np.testing.assert_allclose([r.f_S for r in shared.history_],
+                               [r.f_S for r in fresh.history_], rtol=1e-10)
+    np.testing.assert_allclose([r.d_norm for r in shared.history_],
+                               [r.d_norm for r in fresh.history_], rtol=1e-10)
+
+
 def test_huge_g_bound_freezes_smd():
     p = make_two_stage(seed=44, n1=4, m1=1, m2=2, n_base=2, rhs_random=1, support_k=(3,))
     solver = SmdSolver(G_bound=1e9, batch=2, iters=15, seed=0, record_wall_time=False)

@@ -188,6 +188,14 @@ def test_parameter_validation():
         ScsSolver(delta0=200.0, delta_max=100.0).fit(deterministic_qp())
     with pytest.raises(ValueError, match="sampling"):
         ScsSolver(sampling="bogus").fit(deterministic_qp())
+    with pytest.raises(ValueError, match="delta_min"):
+        ScsSolver(delta0=1.0, delta_min=5.0).fit(deterministic_qp())
+    unique_point = TwoStageProblem(
+        Q=np.eye(2), c=[1.0, 1.0], A=np.eye(2), b=[0.4, 0.6],
+        D=[[1.0]], d=[0.0], xi=[0.0], C=np.zeros((1, 2)),
+    )
+    with pytest.raises(ValueError, match="delta_min"):
+        ScsSolver(delta0=1.0, delta_min=5.0).fit(unique_point)
 
 
 def test_wall_time_suppression():
