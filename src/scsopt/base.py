@@ -73,3 +73,15 @@ def as_vector(value, n=None, name="vector"):
     if n is not None and arr.size != n:
         raise DimensionMismatch(f"{name} must have length {n}, got {arr.size}")
     return arr
+
+
+def as_lower_bounds(value, n):
+    """None, or a length-n vector of bounds that are finite or -inf."""
+    if value is None:
+        return None
+    lb = np.asarray(value, dtype=float).reshape(-1)
+    if lb.size != n:
+        raise DimensionMismatch(f"lower_bounds has length {lb.size}, expected {n}")
+    if np.any(np.isnan(lb)) or np.any(lb == np.inf):
+        raise ValueError("lower_bounds entries must be finite or -inf")
+    return lb

@@ -62,6 +62,7 @@ class _BaselineSolver(ParamsMixin):
         self._validate()
         averaging = self.averaging or self.averaging_default
         x = model.initial_feasible_point(problem)
+        lb = problem.lower_bounds
         self._resolve_scale(problem, x)
         x_sum = x.copy()
         self.history_ = []
@@ -71,8 +72,10 @@ class _BaselineSolver(ParamsMixin):
             F = oracle.SaaFunction(problem, batch) if k == 1 else F.sibling(batch)
             g = F.subgrad(x)
             alpha = self._step(k)
-            x = linalg.project_polyhedral(problem.A, problem.b, problem.lower_bounds,
-                                          x - alpha * g)
+            # Consecutive iterates mostly hold the same bounds: the last
+            # iterate's face warm-starts the projection.
+            x = linalg.project_polyhedral(problem.A, problem.b, lb, x - alpha * g,
+                                          active=None if lb is None else x == lb)
             x_sum += x
             rep = x_sum / (k + 1) if averaging == "uniform" else x
             f_S = F.value(rep)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpsolve
-from .base import as_matrix, as_vector
+from .base import as_lower_bounds, as_matrix, as_vector
 from .exceptions import DimensionMismatch, EmptyNullSpace, InfeasibleRegion, SingularSystem
 
 
@@ -22,7 +22,6 @@ class NullSpaceBasis:
 
     Z: np.ndarray
     rank_A: int
-    tol_rank: float
 
     @property
     def dim(self):
@@ -49,22 +48,29 @@ def null_space_basis(A, tol_rank=1e-10):
     if rank == n:
         raise EmptyNullSpace(f"A has full column rank {n}; null space is trivial")
     Z = Vt[rank:].T.copy()
-    return NullSpaceBasis(Z=Z, rank_A=rank, tol_rank=float(tol_rank))
-
-
-def _z_matrix(Z):
-    if isinstance(Z, NullSpaceBasis):
-        return Z.Z
-    return np.asarray(Z, dtype=float)
+    return NullSpaceBasis(Z=Z, rank_A=rank)
 
 
 def project_null(Z, v):
-    """Z Z' v: the component of v lying in the feasible-direction subspace."""
-    Zm = _z_matrix(Z)
+    """Z Z' v for a NullSpaceBasis Z: the component of v in the feasible directions."""
+    Zm = Z.Z
     v = as_vector(v, name="v")
     if v.size != Zm.shape[0]:
         raise DimensionMismatch(f"v has length {v.size}, expected {Zm.shape[0]}")
     return Zm @ (Zm.T @ v)
+
+
+def _normal_project(A, b, x):
+    """(z, lam): z = x - A'lam, (AA') lam = Ax - b; SingularSystem when AA' is singular."""
+    G = A @ A.T
+    cond = np.linalg.cond(G)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise SingularSystem(f"AA' condition number {cond:.3e}")
+    try:
+        lam = np.linalg.solve(G, A @ x - b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    return x - A.T @ lam, lam
 
 
 def project_affine(A, b, x):
@@ -76,36 +82,55 @@ def project_affine(A, b, x):
     A = as_matrix(A, "A")
     b = as_vector(b, A.shape[0], "b")
     x = as_vector(x, A.shape[1], "x")
-    G = A @ A.T
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularSystem(f"AA' condition number {cond:.3e}")
-    try:
-        w = np.linalg.solve(G, A @ x - b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return x - A.T @ w
+    return _normal_project(A, b, x)[0]
 
 
-def project_polyhedral(A, b, lower_bounds, x):
+def _project_on_faces(A, b, lb, x, W):
+    """The projection of x onto {Az = b, z >= lb} found from a guessed active set W, or None.
+
+    A try pins z_W = lb_W, projects x_F onto the rest of {Az = b} and is
+    returned once it passes ``qpsolve.kkt_holds``.  Else W takes a primal-
+    dual active-set step (Hintermueller, Ito and Kunisch, 2002): keep the
+    pins with mu >= 0, pin the free entries below lb.  None when a face is
+    singular, W stops moving, or 1 + n tries fail.
+    """
+    for _ in range(x.size + 1):
+        F = ~W
+        z = np.where(W, lb, x)
+        try:
+            z[F], lam = _normal_project(A[:, F], b - A[:, W] @ lb[W], x[F])
+        except SingularSystem:
+            return None
+        mu = z - x + A.T @ lam  # the bound multipliers; zero on F up to rounding
+        if qpsolve.kkt_holds(A, b, lb, z, F, z - x, np.where(F, mu, 0.0), np.where(W, mu, 0.0)):
+            return z
+        moved = (W & (mu >= 0.0)) | (F & (z < lb))
+        if np.array_equal(moved, W):
+            return None
+        W = moved
+    return None
+
+
+def project_polyhedral(A, b, lower_bounds, x, active=None):
     """Euclidean projection of x onto {Az = b, z >= lower_bounds}.
 
-    Reduces to project_affine when every bound is -inf; otherwise solved as
-    the strictly convex QP min ||z - x||^2 by the active-set engine.
+    Reduces to project_affine when every bound is -inf.  ``active`` guesses
+    the bounds the projection holds (e.g. a nearby point's ``z == lb``) for
+    ``_project_on_faces``; without a guess, or when that finds nothing, the
+    QP min ||z - x||^2 goes to the active-set engine.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, A.shape[0], "b")
     x = as_vector(x, A.shape[1], "x")
-    n = x.size
-    if lower_bounds is None:
-        lb = np.full(n, -np.inf)
-    else:
-        lb = np.asarray(lower_bounds, dtype=float).reshape(-1)
-        if lb.size != n:
-            raise DimensionMismatch(f"lower_bounds has length {lb.size}, expected {n}")
-    if not np.any(np.isfinite(lb)):
+    lb = as_lower_bounds(lower_bounds, x.size)
+    if lb is None or not np.any(np.isfinite(lb)):
         return project_affine(A, b, x)
-    res = qpsolve.solve_qp(np.eye(n), -x, A, b, lb=lb)
+    if active is not None:
+        W = (as_vector(active, x.size, "active") != 0.0) & np.isfinite(lb)
+        z = _project_on_faces(A, b, lb, x, W)
+        if z is not None:
+            return z
+    res = qpsolve.solve_qp(np.eye(x.size), -x, A, b, lb=lb)
     if res.status != qpsolve.OPTIMAL:
         raise InfeasibleRegion("projection target region {Az=b, z>=lb} is empty")
     return res.x

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpsolve, simplex
-from .base import as_matrix, as_vector
+from .base import as_lower_bounds, as_matrix, as_vector
 from .exceptions import DimensionMismatch, InfeasibleRegion
 from .rng import substream
 
@@ -136,15 +136,7 @@ class TwoStageProblem:
                 np.linalg.cholesky(self.P)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("P must be positive definite") from exc
-        if lower_bounds is None:
-            self.lower_bounds = None
-        else:
-            lb = np.asarray(lower_bounds, dtype=float).reshape(-1)
-            if lb.size != self.n1:
-                raise DimensionMismatch(f"lower_bounds has length {lb.size}, expected {self.n1}")
-            if np.any(np.isnan(lb)) or np.any(lb == np.inf):
-                raise ValueError("lower_bounds entries must be finite or -inf")
-            self.lower_bounds = lb
+        self.lower_bounds = as_lower_bounds(lower_bounds, self.n1)
         self.stochastic_map = tuple(stochastic_map)
         for entry in self.stochastic_map:
             if entry.kind == "rhs":

@@ -55,13 +55,8 @@ def feasible_point(A, b, lb, tol=1e-9, basis=None):
     split into positive and negative parts.  Returns (x, basis) where the
     basis warm-starts the next feasibility solve for the same A and lb
     (any feasible basis is optimal for the zero objective, so a cached
-    basis usually costs zero pivots).
+    basis usually costs zero pivots).  A is 2-D, b and lb 1-D float arrays.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    lb = np.asarray(lb, dtype=float).reshape(-1)
     res, x = simplex.solve_lp_bounded(np.zeros(A.shape[1]), A, b, lb, basis=basis, tol=tol)
     return (x, res.basis) if x is not None else (None, None)
 
@@ -168,6 +163,17 @@ def _multipliers(H, g, A, x, idx_f, working):
     return pi, mu
 
 
+def kkt_holds(A, b, lb, x, free, grad, stat, mu):
+    """KKT tolerances: residual ``stat`` ~ 0, x[free] >= lb[free], Ax = b, multipliers mu >= 0."""
+    scale = 1.0 + float(np.abs(grad).max(initial=0.0))
+    return bool(
+        float(np.abs(stat).max(initial=0.0)) <= 1e-9 * scale
+        and np.all(x[free] >= lb[free] - 1e-9 * (1.0 + np.abs(x).max(initial=0.0)))
+        and (A.shape[0] == 0 or float(np.abs(A @ x - b).max(initial=0.0)) <= 1e-8 * (1.0 + np.abs(b).max(initial=0.0)))
+        and mu.min(initial=0.0) >= -1e-8 * scale
+    )
+
+
 def _finish(H, g, A, b, lb, x, working, iters, phase1_basis=None):
     """Re-solve the KKT system on the final working set for tight residuals."""
     n = x.size
@@ -193,15 +199,8 @@ def _finish(H, g, A, b, lb, x, working, iters, phase1_basis=None):
     grad = H @ x_try + g
     mu = grad - (A.T @ pi if m > 0 else 0.0)
     mu = np.where(working, mu, 0.0)
-    scale = 1.0 + float(np.abs(grad).max(initial=0.0))
     stat = grad - (A.T @ pi if m > 0 else 0.0) - mu
-    ok = (
-        float(np.abs(stat).max(initial=0.0)) <= 1e-9 * scale
-        and np.all(x_try[idx_f] >= lb[idx_f] - 1e-9 * (1.0 + np.abs(x_try).max(initial=0.0)))
-        and (m == 0 or float(np.abs(A @ x_try - b).max(initial=0.0)) <= 1e-8 * (1.0 + np.abs(b).max(initial=0.0)))
-        and mu.min(initial=0.0) >= -1e-8 * scale
-    )
-    if not ok:
+    if not kkt_holds(A, b, lb, x_try, idx_f, grad, stat, mu):
         # Keep the iterate the loop certified instead of a failed polish.
         x_try = x_out
         pi, mu = _multipliers(H, g, A, x_try, idx_f, working)

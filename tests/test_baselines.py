@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from instances import make_two_stage
+from scsopt import linalg, qpsolve
 from scsopt.baselines import SgdSolver, SmdSolver
 from scsopt.model import TwoStageProblem, enumerate_support
 from scsopt.oracle import SaaFunction
@@ -86,6 +87,58 @@ def test_shared_screen_pool_matches_fresh_oracles(monkeypatch, cls):
                                [r.d_norm for r in fresh.history_], rtol=1e-10)
 
 
+def bounded_fixture():
+    return make_two_stage(seed=46, n1=5, m1=2, m2=2, n_base=2, rhs_random=2, support_k=(3, 3))
+
+
+def long_bounded_fit(cls):
+    # c = 3 steps far enough to put 13-20 of the 100 iterates on a bound.
+    return cls(c=3.0, batch=4, iters=100, seed=3, record_wall_time=False).fit(bounded_fixture())
+
+
+def fit_recording_iterates(monkeypatch, cls, project):
+    iterates = []
+
+    def recorded(*args, **kwargs):
+        iterates.append(project(*args, **kwargs))
+        return iterates[-1]
+
+    monkeypatch.setattr(linalg, "project_polyhedral", recorded)
+    solver = long_bounded_fit(cls)
+    return solver, np.array(iterates[1:])  # the first is initial_feasible_point's
+
+
+@pytest.mark.parametrize("cls", [SgdSolver, SmdSolver])
+def test_warm_projection_matches_cold(monkeypatch, cls):
+    # Each step's projection starts from the last iterate's face; without
+    # that guess every step takes the cold QP, and the run must not change.
+    project = linalg.project_polyhedral
+    warm, warm_iterates = fit_recording_iterates(monkeypatch, cls, project)
+    cold, cold_iterates = fit_recording_iterates(
+        monkeypatch, cls, lambda A, b, lb, x, active=None: project(A, b, lb, x))
+    assert warm_iterates.shape == (100, 5) and np.sum(warm_iterates == 0.0) >= 10
+    np.testing.assert_allclose(warm_iterates, cold_iterates, rtol=1e-10)
+    np.testing.assert_allclose(warm.x_, cold.x_, rtol=1e-10)
+    np.testing.assert_allclose([r.f_S for r in warm.history_],
+                               [r.f_S for r in cold.history_], rtol=1e-10)
+    np.testing.assert_allclose([r.d_norm for r in warm.history_],
+                               [r.d_norm for r in cold.history_], rtol=1e-10)
+
+
+@pytest.mark.parametrize("cls", [SgdSolver, SmdSolver])
+def test_warm_projection_rarely_needs_the_qp(monkeypatch, cls):
+    calls = []
+    solve_qp = qpsolve.solve_qp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(qpsolve, "solve_qp", counted)
+    long_bounded_fit(cls)
+    assert len(calls) <= 5
+
+
 def test_huge_g_bound_freezes_smd():
     p = make_two_stage(seed=44, n1=4, m1=1, m2=2, n_base=2, rhs_random=1, support_k=(3,))
     solver = SmdSolver(G_bound=1e9, batch=2, iters=15, seed=0, record_wall_time=False)
@@ -111,7 +164,7 @@ def test_uniform_averaging_beats_last_often():
 
 
 def test_iterates_stay_feasible():
-    p = make_two_stage(seed=46, n1=5, m1=2, m2=2, n_base=2, rhs_random=2, support_k=(3, 3))
+    p = bounded_fixture()
     for cls in (SgdSolver, SmdSolver):
         solver = cls(batch=4, iters=25, seed=3, record_wall_time=False)
         solver.fit(p)

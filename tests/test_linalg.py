@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scsopt import qpsolve
 from scsopt.exceptions import DimensionMismatch, EmptyNullSpace, InfeasibleRegion, SingularSystem
 from scsopt.linalg import (
     null_space_basis,
@@ -110,6 +111,24 @@ class TestProjectAffine:
             project_affine(A, [1.0, 1.0], [0.0, 0.0])
 
 
+def assert_projection_kkt(A, b, x, z):
+    """z is the projection of x onto {Az = b, z >= 0}: feasible, and stationary
+    with z - x = A' pi + mu, mu >= 0 supported on the active bounds."""
+    m, n = A.shape
+    assert np.abs(A @ z - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
+    assert z.min() >= -1e-9
+    act = z <= 1e-9
+    cols = [A.T]
+    for i in np.flatnonzero(act):
+        e = np.zeros((n, 1))
+        e[i, 0] = 1.0
+        cols.append(e)
+    M = np.hstack(cols)
+    coef, *_ = np.linalg.lstsq(M, z - x, rcond=None)
+    assert np.linalg.norm(M @ coef - (z - x)) <= 1e-7
+    assert coef[m:].min(initial=0.0) >= -1e-7
+
+
 class TestProjectPolyhedral:
     def test_interior_point_fixed(self):
         A = np.array([[1.0, 1.0, 1.0]])
@@ -139,20 +158,63 @@ class TestProjectPolyhedral:
             b = A @ interior
             x = rng.normal(size=n)
             z = project_polyhedral(A, b, np.zeros(n), x)
-            assert np.abs(A @ z - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
-            assert z.min() >= -1e-9
-            # stationarity: z - x = A' pi + mu, mu >= 0 supported on active set
-            act = z <= 1e-9
-            cols = [A.T]
-            for i in np.flatnonzero(act):
-                e = np.zeros((n, 1))
-                e[i, 0] = 1.0
-                cols.append(e)
-            M = np.hstack(cols)
-            coef, *_ = np.linalg.lstsq(M, z - x, rcond=None)
-            assert np.linalg.norm(M @ coef - (z - x)) <= 1e-7
-            assert coef[2:].min(initial=0.0) >= -1e-7
+            assert_projection_kkt(A, b, x, z)
 
     def test_infeasible_region(self):
         with pytest.raises(InfeasibleRegion):
             project_polyhedral([[1.0, 1.0]], [-1.0], [0.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_inf_and_nan_lower_bounds(self, bad):
+        with pytest.raises(ValueError, match="finite or -inf"):
+            project_polyhedral([[1.0, 1.0]], [1.0], [0.0, bad], [2.0, -2.0])
+
+    def test_rejects_active_of_wrong_length(self):
+        with pytest.raises(DimensionMismatch):
+            project_polyhedral([[1.0, 1.0]], [1.0], [0.0, 0.0], [2.0, -2.0], active=[True])
+
+    def test_right_face_settles_without_the_qp(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(2, 6))
+        b = A @ rng.uniform(0.2, 1.0, 6)
+        x = 2.0 * rng.normal(size=6)
+        cold = project_polyhedral(A, b, np.zeros(6), x)
+        face = cold == 0.0
+        assert face.any() and not face.all()
+
+        def no_qp(*args, **kwargs):
+            raise AssertionError("the cold QP ran")
+
+        monkeypatch.setattr(qpsolve, "solve_qp", no_qp)
+        warm = project_polyhedral(A, b, np.zeros(6), x, active=face)
+        np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-12 * (1.0 + np.abs(cold).max()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["empty", "all", "random", "ill_face"]))
+def test_warm_projection_matches_cold(seed, guess):
+    # A guessed face changes how the projection is found, never what it is.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2 if guess == "ill_face" else 1, 4))
+    n = m + int(rng.integers(1, 6))
+    A = rng.normal(size=(m, n))
+    if guess == "empty":
+        W = np.zeros(n, dtype=bool)
+    elif guess == "all":
+        W = np.ones(n, dtype=bool)
+    else:
+        W = rng.random(n) < 0.5
+    if guess == "ill_face":
+        # Two rows agree to 1e-10 on the free columns only: A_F A_F' is
+        # numerically singular while A itself is well conditioned.
+        pinned, free = rng.choice(n, 2, replace=False)
+        W[pinned], W[free] = True, False
+        F = ~W
+        A[m - 1, F] = A[0, F] + 1e-10 * rng.normal(size=int(F.sum()))
+    b = A @ rng.uniform(0.2, 1.0, n)
+    x = rng.uniform(0.5, 3.0) * rng.normal(size=n)
+    lb = np.zeros(n)
+    cold = project_polyhedral(A, b, lb, x)
+    warm = project_polyhedral(A, b, lb, x, active=W)
+    assert np.abs(warm - cold).max() <= 1e-12 * (1.0 + np.abs(cold).max())
+    assert_projection_kkt(A, b, x, warm)
