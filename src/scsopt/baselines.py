@@ -72,10 +72,7 @@ class _BaselineSolver(ParamsMixin):
             F = oracle.SaaFunction(problem, batch) if k == 1 else F.sibling(batch)
             g = F.subgrad(x)
             alpha = self._step(k)
-            # Consecutive iterates mostly hold the same bounds: the last
-            # iterate's face warm-starts the projection.
-            x = linalg.project_polyhedral(problem.A, problem.b, lb, x - alpha * g,
-                                          active=None if lb is None else x == lb)
+            x = linalg.project_polyhedral(problem.A, problem.b, lb, x - alpha * g)
             x_sum += x
             rep = x_sum / (k + 1) if averaging == "uniform" else x
             f_S = F.value(rep)

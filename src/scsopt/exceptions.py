@@ -13,10 +13,6 @@ class EmptyNullSpace(ScsoptError):
     """The constraint matrix has full column rank; only the zero direction is feasible."""
 
 
-class SingularSystem(ScsoptError):
-    """A linear system required by a projection is numerically singular."""
-
-
 class InfeasibleRegion(ScsoptError):
     """The polyhedron {Az = b, z >= lb} is empty."""
 

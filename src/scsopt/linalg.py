@@ -1,4 +1,4 @@
-"""Dense null-space bases and Euclidean projections onto affine and polyhedral sets.
+"""Dense null-space bases and the Euclidean projection onto a polyhedral set.
 
 Feasible directions for an equality-constrained problem {x : Ax = b} live in
 null(A).  An orthonormal basis Z of that null space turns Z Z' into an exact
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import qpsolve
 from .base import as_lower_bounds, as_matrix, as_vector
-from .exceptions import DimensionMismatch, EmptyNullSpace, InfeasibleRegion, SingularSystem
+from .exceptions import DimensionMismatch, EmptyNullSpace, InfeasibleRegion
 
 
 @dataclass(frozen=True)
@@ -60,76 +60,46 @@ def project_null(Z, v):
     return Zm @ (Zm.T @ v)
 
 
-def _normal_project(A, b, x):
-    """(z, lam): z = x - A'lam, (AA') lam = Ax - b; SingularSystem when AA' is singular."""
-    G = A @ A.T
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularSystem(f"AA' condition number {cond:.3e}")
-    try:
-        lam = np.linalg.solve(G, A @ x - b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return x - A.T @ lam, lam
+def project_polyhedral(A, b, lower_bounds, x):
+    """Euclidean projection of x onto {Az = b, z >= lower_bounds}; None bounds mean -inf.
 
-
-def project_affine(A, b, x):
-    """argmin_z ||z - x||  s.t.  Az = b, computed as x - A'(AA')^{-1}(Ax - b).
-
-    A must have full row rank; a numerically singular AA' raises
-    SingularSystem.
-    """
-    A = as_matrix(A, "A")
-    b = as_vector(b, A.shape[0], "b")
-    x = as_vector(x, A.shape[1], "x")
-    return _normal_project(A, b, x)[0]
-
-
-def _project_on_faces(A, b, lb, x, W):
-    """The projection of x onto {Az = b, z >= lb} found from a guessed active set W, or None.
-
-    A try pins z_W = lb_W, projects x_F onto the rest of {Az = b} and is
-    returned once it passes ``qpsolve.kkt_holds``.  Else W takes a primal-
-    dual active-set step (Hintermueller, Ito and Kunisch, 2002): keep the
-    pins with mu >= 0, pin the free entries below lb.  None when a face is
-    singular, W stops moving, or 1 + n tries fail.
-    """
-    for _ in range(x.size + 1):
-        F = ~W
-        z = np.where(W, lb, x)
-        try:
-            z[F], lam = _normal_project(A[:, F], b - A[:, W] @ lb[W], x[F])
-        except SingularSystem:
-            return None
-        mu = z - x + A.T @ lam  # the bound multipliers; zero on F up to rounding
-        if qpsolve.kkt_holds(A, b, lb, z, F, z - x, np.where(F, mu, 0.0), np.where(W, mu, 0.0)):
-            return z
-        moved = (W & (mu >= 0.0)) | (F & (z < lb))
-        if np.array_equal(moved, W):
-            return None
-        W = moved
-    return None
-
-
-def project_polyhedral(A, b, lower_bounds, x, active=None):
-    """Euclidean projection of x onto {Az = b, z >= lower_bounds}.
-
-    Reduces to project_affine when every bound is -inf.  ``active`` guesses
-    the bounds the projection holds (e.g. a nearby point's ``z == lb``) for
-    ``_project_on_faces``; without a guess, or when that finds nothing, the
-    QP min ||z - x||^2 goes to the active-set engine.
+    A try pins z_W = lb_W and projects x_F onto the rest of {Az = b}; the
+    first pins nothing, so it is the affine projection.  A try is returned
+    once it passes ``qpsolve.kkt_holds``.  Else W takes a primal-dual
+    active-set step (Hintermueller, Ito and Kunisch, 2002): keep the pins
+    with mu >= 0 and pin the free entry furthest below its bound.  A
+    singular face, pins that stop moving or 1 + n failed tries hand the QP
+    min ||z - x||^2 to the active-set engine, which also copes with
+    redundant rows.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, A.shape[0], "b")
     x = as_vector(x, A.shape[1], "x")
     lb = as_lower_bounds(lower_bounds, x.size)
-    if lb is None or not np.any(np.isfinite(lb)):
-        return project_affine(A, b, x)
-    if active is not None:
-        W = (as_vector(active, x.size, "active") != 0.0) & np.isfinite(lb)
-        z = _project_on_faces(A, b, lb, x, W)
-        if z is not None:
+    if lb is None:
+        lb = np.full(x.size, -np.inf)
+    W = np.zeros(x.size, dtype=bool)
+    for _ in range(x.size + 1):
+        F = ~W
+        AF = A.compress(F, axis=1)  # C order like A: W empty gives the affine formula bit for bit
+        G = AF @ AF.T
+        cond = np.linalg.cond(G)
+        if not np.isfinite(cond) or cond > 1e14:
+            break  # a singular face
+        lam = np.linalg.solve(G, AF @ x[F] - (b - A[:, W] @ lb[W]))
+        z = np.where(W, lb, x)
+        z[F] = x[F] - AF.T @ lam
+        mu = z - x + A.T @ lam  # the bound multipliers; zero on F up to rounding
+        if qpsolve.kkt_holds(A, b, lb, z, F, z - x, np.where(F, mu, 0.0), np.where(W, mu, 0.0)):
             return z
+        moved = W & (mu >= 0.0)
+        gap = np.where(F, z - lb, np.inf)
+        worst = int(np.argmin(gap))
+        if gap[worst] < 0.0:
+            moved[worst] = True
+        if np.array_equal(moved, W):
+            break
+        W = moved
     res = qpsolve.solve_qp(np.eye(x.size), -x, A, b, lb=lb)
     if res.status != qpsolve.OPTIMAL:
         raise InfeasibleRegion("projection target region {Az=b, z>=lb} is empty")

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qpsolve, simplex
+from . import linalg, qpsolve, simplex
 from .base import as_lower_bounds, as_matrix, as_vector
-from .exceptions import DimensionMismatch, InfeasibleRegion
+from .exceptions import DimensionMismatch
 from .rng import substream
 
 
@@ -391,19 +391,5 @@ def true_objective(problem, scenarios, x):
 
 
 def initial_feasible_point(problem):
-    """Feasible start: project the origin onto {Ax = b}, repair bounds if needed."""
-    from . import linalg
-    from .exceptions import SingularSystem
-
-    try:
-        x0 = linalg.project_affine(problem.A, problem.b, np.zeros(problem.n1))
-    except SingularSystem:
-        # Rank-deficient rows: fall back to the least-squares solution.
-        x0, *_ = np.linalg.lstsq(problem.A, problem.b, rcond=None)
-        resid = np.abs(problem.A @ x0 - problem.b).max(initial=0.0)
-        if resid > 1e-8 * (1.0 + np.abs(problem.b).max(initial=0.0)):
-            raise InfeasibleRegion("equality system Ax = b is inconsistent")
-    lb = problem.lower_bounds
-    if lb is not None and np.any(x0 < lb - 1e-12):
-        x0 = linalg.project_polyhedral(problem.A, problem.b, lb, x0)
-    return x0
+    """Feasible start: the projection of the origin onto {Ax = b, x >= lower_bounds}."""
+    return linalg.project_polyhedral(problem.A, problem.b, problem.lower_bounds, np.zeros(problem.n1))

@@ -214,16 +214,6 @@ def _dual_loop(c, A, b, bs, tol, max_iter):
     return None  # budget exhausted; caller falls back to a cold start
 
 
-def _result(c, A, b, bs, status, iters):
-    n = A.shape[1]
-    xB = bs.solution(b)
-    pi = bs.duals(c)
-    x = np.zeros(n)
-    x[bs.basis] = xB
-    return LpResult(status=status, x=x, obj=float(c @ x), pi=pi,
-                    basis=bs.basis.copy(), iterations=iters)
-
-
 def _warm_solve(c, A, b, basis, tol, max_iter):
     m, n = A.shape
     if basis.size != m or basis.min(initial=0) < 0 or basis.max(initial=-1) >= n:
@@ -242,29 +232,23 @@ def _warm_solve(c, A, b, basis, tol, max_iter):
     red[basis] = 0.0
     tol_c = tol * (1.0 + float(np.abs(c).max(initial=0.0)))
     tol_x = tol * (1.0 + float(np.abs(b).max(initial=0.0)))
-    primal_ok = xB.min(initial=0.0) >= -tol_x
-    dual_ok = red.min(initial=0.0) >= -tol_c
-    try:
-        if primal_ok and dual_ok:
-            x = np.zeros(n)
-            x[bs.basis] = xB
-            return LpResult(OPTIMAL, x, float(c @ x), pi, bs.basis.copy(), 0)
-        if dual_ok:
+    if red.min(initial=0.0) < -tol_c:
+        return None  # not dual feasible, e.g. a basis for another cost: start cold
+    iters = 0
+    if xB.min(initial=0.0) < -tol_x:
+        try:
             out = _dual_loop(c, A, b, bs, tol, max_iter)
-            if out is None:
-                return None
-            status, iters = out
-            if status == INFEASIBLE:
-                return LpResult(INFEASIBLE, None, np.inf, None, bs.basis.copy(), iters)
-            return _result(c, A, b, bs, status, iters)
-        if primal_ok:
-            status, iters = _primal_loop(c, A, b, bs, tol, max_iter)
-            if status == UNBOUNDED:
-                return LpResult(UNBOUNDED, None, -np.inf, None, bs.basis.copy(), iters)
-            return _result(c, A, b, bs, status, iters)
-    except NumericalBreakdown:
-        return None
-    return None
+        except NumericalBreakdown:
+            return None
+        if out is None:
+            return None
+        status, iters = out
+        if status == INFEASIBLE:
+            return LpResult(INFEASIBLE, None, np.inf, None, bs.basis.copy(), iters)
+        xB, pi = bs.solution(b), bs.duals(c)
+    x = np.zeros(n)
+    x[bs.basis] = xB
+    return LpResult(OPTIMAL, x, float(c @ x), pi, bs.basis.copy(), iters)
 
 
 def _cold_solve(c, A, b, tol, max_iter):

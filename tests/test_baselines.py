@@ -22,10 +22,8 @@ def test_fixed_point_at_optimum():
     solver = SgdSolver(c=0.5, batch=1, iters=5, seed=0, record_wall_time=False)
     solver.fit(p)
     x_star = np.array([0.3, 0.7])
-    from scsopt.linalg import project_affine
-
     g = p.Q @ x_star + p.c  # zero recourse contribution
-    stepped = project_affine(p.A, p.b, x_star - 0.5 * g)
+    stepped = linalg.project_polyhedral(p.A, p.b, None, x_star - 0.5 * g)
     np.testing.assert_allclose(stepped, x_star, atol=1e-10)
 
 
@@ -37,13 +35,12 @@ def test_deterministic_qp_monotone_distance_decrease():
     solver.fit(p)
     # reconstruct iterate distances from history via a fresh run (deterministic)
     dists = []
-    from scsopt.linalg import project_affine
     from scsopt.model import initial_feasible_point
 
     x = initial_feasible_point(p)
     for k in range(1, 41):
         g = p.Q @ x + p.c
-        x = project_affine(p.A, p.b, x - 0.2 / np.sqrt(k) * g)
+        x = linalg.project_polyhedral(p.A, p.b, None, x - 0.2 / np.sqrt(k) * g)
         dists.append(np.linalg.norm(x - x_star))
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
     np.testing.assert_allclose(solver.x_, x, atol=1e-10)
@@ -96,26 +93,34 @@ def long_bounded_fit(cls):
     return cls(c=3.0, batch=4, iters=100, seed=3, record_wall_time=False).fit(bounded_fixture())
 
 
-def fit_recording_iterates(monkeypatch, cls, project):
+def recording_projections(monkeypatch, project):
+    """Route linalg.project_polyhedral through ``project``; the list fills with its results."""
     iterates = []
 
-    def recorded(*args, **kwargs):
-        iterates.append(project(*args, **kwargs))
+    def recorded(*args):
+        iterates.append(project(*args))
         return iterates[-1]
 
     monkeypatch.setattr(linalg, "project_polyhedral", recorded)
+    return iterates
+
+
+def fit_recording_iterates(monkeypatch, cls, project):
+    iterates = recording_projections(monkeypatch, project)
     solver = long_bounded_fit(cls)
     return solver, np.array(iterates[1:])  # the first is initial_feasible_point's
 
 
+def cold_qp_projection(A, b, lb, x):
+    return qpsolve.solve_qp(np.eye(x.size), -x, A, b, lb=lb).x
+
+
 @pytest.mark.parametrize("cls", [SgdSolver, SmdSolver])
 def test_warm_projection_matches_cold(monkeypatch, cls):
-    # Each step's projection starts from the last iterate's face; without
-    # that guess every step takes the cold QP, and the run must not change.
-    project = linalg.project_polyhedral
-    warm, warm_iterates = fit_recording_iterates(monkeypatch, cls, project)
-    cold, cold_iterates = fit_recording_iterates(
-        monkeypatch, cls, lambda A, b, lb, x, active=None: project(A, b, lb, x))
+    # Each projection finds its face from the affine projection up; a run
+    # that projects every step with the cold QP must not differ.
+    warm, warm_iterates = fit_recording_iterates(monkeypatch, cls, linalg.project_polyhedral)
+    cold, cold_iterates = fit_recording_iterates(monkeypatch, cls, cold_qp_projection)
     assert warm_iterates.shape == (100, 5) and np.sum(warm_iterates == 0.0) >= 10
     np.testing.assert_allclose(warm_iterates, cold_iterates, rtol=1e-10)
     np.testing.assert_allclose(warm.x_, cold.x_, rtol=1e-10)
@@ -123,6 +128,19 @@ def test_warm_projection_matches_cold(monkeypatch, cls):
                                [r.f_S for r in cold.history_], rtol=1e-10)
     np.testing.assert_allclose([r.d_norm for r in warm.history_],
                                [r.d_norm for r in cold.history_], rtol=1e-10)
+
+
+@pytest.mark.parametrize("cls", [SgdSolver, SmdSolver])
+def test_redundant_equality_rows(monkeypatch, cls):
+    # A = [[1, 1], [1, 1]] has a singular AA'; the projection must still run.
+    p = TwoStageProblem(
+        Q=np.eye(2), c=[-1.2, -1.6], A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 1.0],
+        D=[[1.0]], d=[0.0], xi=[0.0], C=np.zeros((1, 2)),
+    )
+    iterates = recording_projections(monkeypatch, linalg.project_polyhedral)
+    cls(seed=0, iters=20, record_wall_time=False).fit(p)
+    assert len(iterates) == 21
+    assert np.abs(np.array(iterates) @ p.A.T - p.b).max() <= 1e-8
 
 
 @pytest.mark.parametrize("cls", [SgdSolver, SmdSolver])

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scsopt import qpsolve
-from scsopt.exceptions import DimensionMismatch, EmptyNullSpace, InfeasibleRegion, SingularSystem
-from scsopt.linalg import (
-    null_space_basis,
-    project_affine,
-    project_null,
-    project_polyhedral,
-)
+from scsopt.exceptions import DimensionMismatch, EmptyNullSpace, InfeasibleRegion
+from scsopt.linalg import null_space_basis, project_null, project_polyhedral
 
 
 def test_one_row_null_space():
@@ -88,36 +83,42 @@ class TestProjectAffine:
     def test_feasible_point_fixed(self):
         A = np.array([[1.0, 2.0], [0.5, -1.0]])
         x = np.linalg.solve(A, np.array([1.0, 2.0]))
-        np.testing.assert_allclose(project_affine(A, [1.0, 2.0], x), x, atol=1e-12)
+        np.testing.assert_allclose(project_polyhedral(A, [1.0, 2.0], None, x), x, atol=1e-12)
 
     def test_symmetry_case(self):
         np.testing.assert_allclose(
-            project_affine([[1.0, 1.0]], [2.0], [0.0, 0.0]), [1.0, 1.0], atol=1e-12)
+            project_polyhedral([[1.0, 1.0]], [2.0], None, [0.0, 0.0]), [1.0, 1.0], atol=1e-12)
 
     def test_optimality_via_orthogonality(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(2, 6))
         b = rng.normal(size=2)
         x = rng.normal(size=6)
-        z = project_affine(A, b, x)
+        z = project_polyhedral(A, b, None, x)
         assert np.abs(A @ z - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
         # residual must be orthogonal to null(A)
         Z = null_space_basis(A).Z
         assert np.abs(Z.T @ (z - x)).max() <= 1e-10
 
     def test_singular_system(self):
+        # Redundant consistent rows: AA' is singular, the projection is not.
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularSystem):
-            project_affine(A, [1.0, 1.0], [0.0, 0.0])
+        np.testing.assert_allclose(
+            project_polyhedral(A, [1.0, 1.0], None, [0.0, 0.0]), [0.5, 0.5], atol=1e-12)
+
+    def test_inconsistent_rows(self):
+        with pytest.raises(InfeasibleRegion):
+            project_polyhedral([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], None, [0.0, 0.0])
 
 
-def assert_projection_kkt(A, b, x, z):
-    """z is the projection of x onto {Az = b, z >= 0}: feasible, and stationary
+def assert_projection_kkt(A, b, x, z, lb=0.0):
+    """z is the projection of x onto {Az = b, z >= lb}: feasible, and stationary
     with z - x = A' pi + mu, mu >= 0 supported on the active bounds."""
     m, n = A.shape
+    lb = np.broadcast_to(lb, n)
     assert np.abs(A @ z - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
-    assert z.min() >= -1e-9
-    act = z <= 1e-9
+    assert np.all(z - lb >= -1e-9)
+    act = z - lb <= 1e-9
     cols = [A.T]
     for i in np.flatnonzero(act):
         e = np.zeros((n, 1))
@@ -127,6 +128,10 @@ def assert_projection_kkt(A, b, x, z):
     coef, *_ = np.linalg.lstsq(M, z - x, rcond=None)
     assert np.linalg.norm(M @ coef - (z - x)) <= 1e-7
     assert coef[m:].min(initial=0.0) >= -1e-7
+
+
+def no_qp(*args, **kwargs):
+    raise AssertionError("the cold QP ran")
 
 
 class TestProjectPolyhedral:
@@ -141,13 +146,14 @@ class TestProjectPolyhedral:
         np.testing.assert_allclose(z, [1.0, 0.0], atol=1e-8)
 
     def test_reduces_to_affine_without_bounds(self):
+        # Bit for bit x - A'(AA')^{-1}(Ax - b): no bound, so nothing is pinned.
         rng = np.random.default_rng(3)
         A = rng.normal(size=(2, 5))
         b = rng.normal(size=2)
         x = rng.normal(size=5)
-        lb = np.full(5, -np.inf)
-        np.testing.assert_allclose(
-            project_polyhedral(A, b, lb, x), project_affine(A, b, x), atol=1e-9)
+        expected = x - A.T @ np.linalg.solve(A @ A.T, A @ x - b)
+        for lb in (None, np.full(5, -np.inf)):
+            np.testing.assert_array_equal(project_polyhedral(A, b, lb, x), expected)
 
     def test_kkt_residual_random(self):
         rng = np.random.default_rng(11)
@@ -169,52 +175,52 @@ class TestProjectPolyhedral:
         with pytest.raises(ValueError, match="finite or -inf"):
             project_polyhedral([[1.0, 1.0]], [1.0], [0.0, bad], [2.0, -2.0])
 
-    def test_rejects_active_of_wrong_length(self):
-        with pytest.raises(DimensionMismatch):
-            project_polyhedral([[1.0, 1.0]], [1.0], [0.0, 0.0], [2.0, -2.0], active=[True])
+    def test_a_wrong_pin_is_released(self, monkeypatch):
+        # The affine projection puts z_2 lowest, so it is pinned first; once
+        # z_0 and z_1 are pinned too, its multiplier is negative: the pin goes.
+        monkeypatch.setattr(qpsolve, "solve_qp", no_qp)
+        z = project_polyhedral([[2.0, 2.0, -2.0, 1.0]], [1.0], np.zeros(4), [0.0, 0.0, -1.0, 2.0])
+        np.testing.assert_allclose(z, [0.0, 0.0, 0.2, 1.4], atol=1e-12)
 
     def test_right_face_settles_without_the_qp(self, monkeypatch):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(2, 6))
         b = A @ rng.uniform(0.2, 1.0, 6)
         x = 2.0 * rng.normal(size=6)
-        cold = project_polyhedral(A, b, np.zeros(6), x)
+        cold = qpsolve.solve_qp(np.eye(6), -x, A, b, lb=np.zeros(6)).x
         face = cold == 0.0
         assert face.any() and not face.all()
-
-        def no_qp(*args, **kwargs):
-            raise AssertionError("the cold QP ran")
-
         monkeypatch.setattr(qpsolve, "solve_qp", no_qp)
-        warm = project_polyhedral(A, b, np.zeros(6), x, active=face)
-        np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-12 * (1.0 + np.abs(cold).max()))
+        z = project_polyhedral(A, b, np.zeros(6), x)
+        np.testing.assert_allclose(z, cold, rtol=0.0, atol=1e-12 * (1.0 + np.abs(cold).max()))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["empty", "all", "random", "ill_face"]))
-def test_warm_projection_matches_cold(seed, guess):
-    # A guessed face changes how the projection is found, never what it is.
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "redundant", "ill_face", "no_bounds"]))
+@example(1000115, "random")  # four pins, then one must be released
+def test_warm_projection_matches_cold(seed, case):
+    # The face loop changes how the projection is found, never what it is.
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2 if guess == "ill_face" else 1, 4))
+    m = int(rng.integers(1 if case == "random" else 2, 4))
     n = m + int(rng.integers(1, 6))
     A = rng.normal(size=(m, n))
-    if guess == "empty":
-        W = np.zeros(n, dtype=bool)
-    elif guess == "all":
-        W = np.ones(n, dtype=bool)
-    else:
-        W = rng.random(n) < 0.5
-    if guess == "ill_face":
-        # Two rows agree to 1e-10 on the free columns only: A_F A_F' is
-        # numerically singular while A itself is well conditioned.
-        pinned, free = rng.choice(n, 2, replace=False)
-        W[pinned], W[free] = True, False
-        F = ~W
-        A[m - 1, F] = A[0, F] + 1e-10 * rng.normal(size=int(F.sum()))
-    b = A @ rng.uniform(0.2, 1.0, n)
     x = rng.uniform(0.5, 3.0) * rng.normal(size=n)
-    lb = np.zeros(n)
-    cold = project_polyhedral(A, b, lb, x)
-    warm = project_polyhedral(A, b, lb, x, active=W)
-    assert np.abs(warm - cold).max() <= 1e-12 * (1.0 + np.abs(cold).max())
-    assert_projection_kkt(A, b, x, warm)
+    if case == "redundant":
+        # A repeated row: the first face, with nothing pinned, is singular.
+        A[m - 1] = A[0]
+    elif case == "ill_face":
+        # Two rows that differ only in columns p and q, with opposite signs:
+        # A has full row rank, but pinning both p and q, as their negative
+        # x invites, leaves a singular face.  Two rows keep every other
+        # face well conditioned, so both paths stay within rounding.
+        A = A[:2]
+        p, q = rng.choice(n, 2, replace=False)
+        A[1] = A[0]
+        A[1, [p, q]] += rng.uniform(1.0, 2.0, 2) * [1.0, -1.0]
+        x[[p, q]] = -np.abs(x[[p, q]])
+    b = A @ rng.uniform(0.2, 1.0, n)
+    lb = np.full(n, -np.inf) if case == "no_bounds" else np.zeros(n)
+    cold = qpsolve.solve_qp(np.eye(n), -x, A, b, lb=lb).x
+    z = project_polyhedral(A, b, lb, x)
+    assert np.abs(z - cold).max() <= 1e-12 * (1.0 + np.abs(cold).max())
+    assert_projection_kkt(A, b, x, z, lb)

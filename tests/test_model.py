@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scsopt.exceptions import DimensionMismatch
+from scsopt.exceptions import DimensionMismatch, InfeasibleRegion
 from scsopt.model import (
     Discrete,
     Normal,
@@ -188,11 +188,17 @@ class TestTrueObjective:
 
 
 def test_initial_feasible_point_respects_bounds():
-    # affine projection of the origin lands at (1.5, -1.5); bound repair must fix it
+    # the affine projection of the origin, (1.5, -1.5), breaks a bound
     p = simple_problem(A=[[1.0, -1.0]], b=[3.0], lower_bounds=[0.0, 0.0])
     x0 = initial_feasible_point(p)
     assert np.abs(p.A @ x0 - p.b).max() <= 1e-8 * (1 + np.abs(p.b).max())
     assert x0.min() >= -1e-9
+
+
+def test_initial_feasible_point_rejects_inconsistent_rows():
+    p = simple_problem(A=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0])
+    with pytest.raises(InfeasibleRegion):
+        initial_feasible_point(p)
 
 
 def test_draw_scenarios_equal_weights():

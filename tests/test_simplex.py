@@ -96,3 +96,24 @@ def test_bad_warm_basis_falls_back():
     b = np.array([1.0])
     r = solve_lp(c, A, b, basis=np.array([77]))
     assert r.status == "optimal"
+
+
+def test_warm_basis_for_another_cost_gives_the_cold_optimum():
+    # A basis optimal for c is primal feasible for b; where it is not dual
+    # feasible for the new cost, the warm start is refused and the cold
+    # solve decides.
+    rng = np.random.default_rng(9)
+    refused = 0
+    for _ in range(30):
+        c, A, b = _random_lp(rng)
+        first = solve_lp(c, A, b)
+        c2 = c[::-1].copy()
+        cold = solve_lp(c2, A, b)
+        if first.status != "optimal" or cold.status != "optimal":
+            continue
+        refused += c2 @ first.x > cold.obj + 1e-6 * (1 + abs(cold.obj))
+        warm = solve_lp(c2, A, b, basis=first.basis)
+        assert warm.status == "optimal"
+        assert warm.obj == pytest.approx(cold.obj, abs=1e-9 * (1 + abs(cold.obj)))
+        assert (c2 - A.T @ warm.pi).min() >= -1e-7
+    assert refused >= 5
