@@ -11,8 +11,8 @@ for both the linear and the quadratic second stage.
 Both solutions are piecewise affine in r = xi - Cx: an LP's optimal basis,
 and a strictly convex QP's optimal working set (Bemporad, Morari, Dua and
 Pistikopoulos, 2002), fixes one affine map on a polyhedral cell of r.  The
-sample-average oracle caches those maps and settles every scenario whose
-r falls in a known cell with matrix products instead of a solve.
+sample-average oracle stacks those maps and screens its scenarios against
+every known cell in one matrix product instead of a solve each.
 
 The quadratic case also admits a closed-form dual in the multipliers s of
 the bound constraints,
@@ -166,23 +166,25 @@ class SaaFunction:
     Per-scenario recourse values and subgradients are cached per evaluation
     point (bounded LRU) as one array of rows [h_i | v_i], complete for the
     first len(rows) scenarios; a grown set fills only its new rows.  Missing
-    scenarios are screened against a pool of cells in one matrix product per
-    cell:
+    scenarios are screened against a table of cells stacked in discovery
+    order, each an affine map of the right-hand side r:
 
     * an LP cell is a dual-feasible basis B (dual feasibility depends only on
       (d, D)); a scenario whose basic solution B^-1 r is nonnegative is
       optimal with the cell's constant pi;
     * a QP cell is a working set, the bounds active at a scalar solve's
-      optimum, with one factor of its KKT matrix; a scenario whose free
-      primal part and bound multipliers are nonnegative is optimal, and its
-      pi is affine in r.  A singular or ill-conditioned KKT matrix (e.g. when
-      the free columns of D lose rank) is never pooled.
+      optimum, whose inverted KKT matrix maps r to [y; pi] (y zero off the
+      free set); a scenario with y and bound multipliers nonnegative is
+      optimal.  A singular or ill-conditioned KKT matrix is never stacked.
 
-    A scenario outside every pooled cell reaches ``solve_recourse``,
-    warm-started from the last basis a solve returned (the phase-1 basis of a
-    QP), and its cell joins the pool before the rest are screened again.
-    Scenario order is fixed and the sums below run in it, so results are
-    bit-reproducible.
+    A screen pass is one product of the stacked maps with the missing r,
+    cells x map rows x scenarios with the scenarios along the contiguous
+    axis, so each check is a reduction down the short middle axis; the first
+    cell in discovery order that solves a scenario settles it.  A scenario
+    outside every cell reaches ``solve_recourse``, warm-started from the last
+    basis a solve returned (the phase-1 basis of a QP), and its cell joins
+    the table before the rest are screened again.  Scenario order is fixed
+    and the sums below run in it, so results are bit-reproducible.
     """
 
     def __init__(self, problem, scenarios):
@@ -190,18 +192,17 @@ class SaaFunction:
         self.scenarios = as_scenario_set(scenarios)
         self._cache = OrderedDict()
         self._basis_hint = None  # the last basis a scalar solve returned
-        # Cells discovered so far, in discovery order; shared by siblings.
-        self._screen = {"order": [], "info": {}}
+        self._cells = {"tried": {}, "cells": [], "stack": ()}  # shared by siblings
         self._shared_C = bool(np.all(self.scenarios.C == self.scenarios.C[0]))
 
     def sibling(self, scenarios):
-        """Oracle over ``scenarios`` sharing this one's cell pool and starting from its last basis.
+        """Oracle over ``scenarios`` sharing this one's cell table and starting from its last basis.
 
         For sample sets of the same problem, e.g. the growing set and the
         replication sets drawn against it.
         """
         out = SaaFunction(self.problem, scenarios)
-        out._screen, out._basis_hint = self._screen, self._basis_hint
+        out._cells, out._basis_hint = self._cells, self._basis_hint
         return out
 
     def __len__(self):
@@ -216,18 +217,19 @@ class SaaFunction:
         self._shared_C = bool(np.all(self.scenarios.C == self.scenarios.C[0]))
 
     def _pool(self, key):
-        """Screen the cell of free set ``key``: an LP basis, or the inactive bounds of a QP.
+        """Try the cell of free set ``key``: an LP basis, or the inactive bounds of a QP.
 
-        The shared pool keeps, in discovery order, every cell that can settle
-        scenarios; a singular or dual-infeasible LP basis and a QP working set
-        whose KKT matrix is singular or ill-conditioned are remembered as None.
+        Every key tried is remembered; a singular or dual-infeasible LP basis
+        and a singular or ill-conditioned QP KKT matrix are never stacked.
         """
-        if key not in self._screen["info"]:
+        table = self._cells
+        if key not in table["tried"]:
             free = np.array(key, dtype=int)
-            info = self._qp_cell(free) if self.problem.quadratic_recourse else self._lp_cell(free)
-            self._screen["info"][key] = info
-            if info is not None:
-                self._screen["order"].append(key)
+            cell = self._qp_cell(free) if self.problem.quadratic_recourse else self._lp_cell(free)
+            table["tried"][key] = cell is not None
+            if cell is not None:
+                table["cells"].append(cell)
+                table["stack"] = [np.stack(field) for field in zip(*table["cells"])]
 
     def _lp_cell(self, basis):
         """(B_inv, pi, d_B) of a dual-feasible basis of (d, D)."""
@@ -243,42 +245,49 @@ class SaaFunction:
         return (B_inv, pi, d[basis]) if red.min(initial=0.0) >= -tol_c else None
 
     def _qp_cell(self, free):
-        """(G', a, free, P_F, D_W, work): [y_F; pi] = a + G r on the free set F.
+        """(G, a, work): [y; pi] = a + G r with y zero off the free set F, and the mask of W.
 
         P y + d - D'pi - mu = 0 with y_W = 0 and mu_F = 0 leaves the KKT system
         [[P_FF, -D_F'], [D_F, 0]] [y_F; pi] = [-d_F; r].
         """
         P, d, D = self.problem.P, self.problem.d, self.problem.D
-        nf, work = free.size, np.setdiff1d(np.arange(d.size), free)
-        K = np.block([[P[np.ix_(free, free)], -D[:, free].T],
-                      [D[:, free], np.zeros((D.shape[0], D.shape[0]))]])
+        (m2, n2), nf = D.shape, free.size
+        K = np.block([[P[np.ix_(free, free)], -D[:, free].T], [D[:, free], np.zeros((m2, m2))]])
         try:
             K_inv = simplex._invert(K)
             simplex._check_condition(K, K_inv)
         except NumericalBreakdown:
             return None
-        return K_inv[:, nf:].T, -K_inv[:, :nf] @ d[free], free, P[free], D[:, work], work
+        at = np.concatenate([free, n2 + np.arange(m2)])
+        G, a, work = np.zeros((n2 + m2, m2)), np.zeros(n2 + m2), np.ones(n2, dtype=bool)
+        G[at], a[at], work[free] = K_inv[:, nf:], -K_inv[:, :nf] @ d[free], False
+        return G, a, work
 
-    def _settle_lp(self, info, sub, tol):
-        """(hit, h, pi) of the rows whose basic solution is nonnegative, or None."""
-        B_inv, pi, d_B = info
-        XB = sub @ B_inv.T
-        hit = XB.min(axis=1) >= -tol
-        return (hit, XB[hit] @ d_B, pi) if hit.any() else None
+    def _screen(self, R, start):
+        """(hit, h, pi) of the columns of R that the stacked cells from ``start`` on solve.
 
-    def _settle_qp(self, info, sub, tol):
-        """(hit, h, pi rows) of the rows solved within ``qpsolve._finish``'s tolerances, or None."""
-        Gt, a, free, P_F, D_W, work = info
-        Z = sub @ Gt + a
-        y, pi = Z[:, :free.size], Z[:, free.size:]
-        grad = y @ P_F + self.problem.d
-        mu = grad[:, work] - pi @ D_W
-        hit = ((y.min(axis=1, initial=0.0) >= -1e-9 * (1.0 + np.abs(y).max(axis=1, initial=0.0)))
-               & (mu.min(axis=1, initial=0.0) >= -1e-8 * (1.0 + np.abs(grad).max(axis=1))))
-        if not hit.any():
-            return None
-        h = 0.5 * np.einsum("ij,ij->i", y[hit], grad[hit][:, free] + self.problem.d[free])
-        return hit, h, pi[hit]
+        Z[k, :, j] is cell start + k's map at column j, checked within
+        ``qpsolve._finish``'s tolerances for a QP cell.
+        """
+        G, *fields = (field[start:] for field in self._cells["stack"])
+        Z = (G.reshape(-1, G.shape[2]) @ R).reshape(G.shape[0], G.shape[1], R.shape[1])
+        if self.problem.quadratic_recourse:
+            a, work = fields
+            Z += a[:, :, None]
+            y, pi = Z[:, :work.shape[1]], Z[:, work.shape[1]:]
+            grad = self.problem.P @ y + self.problem.d[:, None]
+            mu = np.where(work[:, :, None], grad - self.problem.D.T @ pi, 0.0)
+            ok = ((y.min(axis=1) >= -1e-9 * (1.0 + np.abs(y).max(axis=1)))
+                  & (mu.min(axis=1) >= -1e-8 * (1.0 + np.abs(grad).max(axis=1))))
+        else:
+            ok = Z.min(axis=1) >= -1e-9 * (1.0 + np.abs(R).max(axis=0))
+        hit = ok.any(axis=0)
+        k, cols = ok.argmax(axis=0)[hit], np.flatnonzero(hit)
+        if self.problem.quadratic_recourse:
+            h = 0.5 * np.einsum("ij,ij->i", y[k, :, cols], grad[k, :, cols] + self.problem.d)
+            return hit, h, pi[k, :, cols]
+        pi, d_B = fields
+        return hit, np.einsum("ij,ij->i", Z[k, :, cols], d_B[k]), pi[k]
 
     def _solutions(self, x):
         """N x (1 + n1) array whose row i is [h_i | v_i] at x."""
@@ -297,35 +306,24 @@ class SaaFunction:
     def _fill(self, x, missing, rows):
         """Write the rows of the scenarios ``missing``: screen, solve one, pool its cell, repeat.
 
-        The missing right-hand sides are screened against the pooled cells in
-        discovery order; the first cell that solves a scenario settles it.
-        While scenarios remain, the first of them is solved warm-started from
-        the last basis, its cell joins the pool, and the rest are screened
-        against the cells added since the last pass.
+        The missing right-hand sides, one column each, are screened against
+        every stacked cell.  While scenarios remain, the first is solved
+        warm-started from the last basis, its cell joins the table, and the
+        rest are screened against the cells added since the last pass.
         """
-        S = self.scenarios
-        sub = S.xi[missing] - S.C[missing] @ x
-        tol = 1e-9 * (1.0 + np.abs(sub).max(axis=1))
-        settle = self._settle_qp if self.problem.quadratic_recourse else self._settle_lp
-        order, screened = self._screen["order"], 0
+        S, cells = self.scenarios, self._cells["cells"]
+        R = np.ascontiguousarray((S.xi[missing] - S.C[missing] @ x).T)
+        screened = 0
         while missing.size:
-            for key in order[screened:]:
-                settled = settle(self._screen["info"][key], sub, tol)
-                if settled is None:
-                    continue
-                hit, h, pi = settled
+            if len(cells) > screened:
+                hit, h, pi = self._screen(R, screened)
                 idx = missing[hit]
                 rows[idx, 0] = h
-                if pi.ndim == 2:  # QP duals vary with the right-hand side
-                    rows[idx, 1:] = -np.einsum("imn,im->in", S.C[idx], pi)
-                elif self._shared_C:
-                    rows[idx, 1:] = -S.C[0].T @ pi
-                else:
-                    rows[idx, 1:] = -S.C[idx].transpose(0, 2, 1) @ pi
-                missing, sub, tol = missing[~hit], sub[~hit], tol[~hit]
+                rows[idx, 1:] = -(pi @ S.C[0]) if self._shared_C else -np.einsum("imn,im->in", S.C[idx], pi)
+                missing, R = missing[~hit], R[:, ~hit]
                 if not missing.size:
                     return
-            screened = len(order)
+            screened = len(cells)
             i = int(missing[0])
             s = S[i]
             sol = require_optimal(solve_recourse(self.problem, s, x, basis=self._basis_hint), i)
@@ -334,7 +332,7 @@ class SaaFunction:
             self._basis_hint = sol.basis
             free = sol.basis if sol.working_set is None else np.flatnonzero(~sol.working_set)
             self._pool(tuple(free.tolist()))
-            missing, sub, tol = missing[1:], sub[1:], tol[1:]
+            missing, R = missing[1:], R[:, 1:]
 
     def _value(self, x, rows):
         h = np.ascontiguousarray(rows[:, 0])

@@ -326,8 +326,58 @@ class TestSaaDifferential:
             want_f, want_g = per_scenario_sum(p, S, x)
             np.testing.assert_allclose(F.value(x), want_f, rtol=1e-10)
             np.testing.assert_allclose(F.subgrad(x), want_g, rtol=1e-10, atol=1e-12)
-        assert F._screen["info"][()] is None
-        assert () not in F._screen["order"] and F._screen["order"]
+        # The empty free set is remembered but not stacked; others are.
+        assert F._cells["tried"][()] is False
+        assert F._cells["cells"] and len(F._cells["stack"][0]) == len(F._cells["cells"])
+
+    @pytest.mark.parametrize("first_xi, want_v", [(1.0, -1.0), (-1.0, 1.0)])
+    def test_first_cell_in_discovery_order_settles(self, monkeypatch, first_xi, want_v):
+        # h(r) = |r|: basis {0} (pi = +1) solves r >= 0 and basis {1}
+        # (pi = -1) solves r <= 0, so both settle r = 0 and only the order
+        # in which they were pooled decides v = -C'pi.
+        p = lp_problem(D=[[1.0, -1.0]], d=[1.0, 1.0], C=[[1.0]], xi=[0.0])
+        x = np.zeros(1)
+        F = SaaFunction(p, [Scenario(xi=np.array([xi]), C=np.array([[1.0]]), weight=0.5)
+                            for xi in (first_xi, -first_xi)])
+        F.value(x)
+        assert [pi.tolist() for _, pi, _ in F._cells["cells"]] == [[first_xi], [-first_xi]]
+        monkeypatch.setattr("scsopt.oracle.solve_recourse", None)  # the screen must settle it
+        T = F.sibling([Scenario(xi=np.array([0.0]), C=np.array([[1.0]]), weight=1.0)])
+        assert T.value(x) == 0.0
+        np.testing.assert_array_equal(T.subgrad(x), [want_v])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans(), st.booleans())
+    def test_many_cells_few_rows(self, seed, tech, quadratic):
+        # The LandS regime: a table of 15 or more cells screening a few rows.
+        # Distant points grow it, so cells join in the middle of fills, and
+        # every evaluation is checked against one solve per scenario.
+        rng = np.random.default_rng(seed)
+        base = complete_recourse_problem(rng, n1=3, m2=4, n_base=4, quadratic=quadratic,
+                                         seed_entries=False)
+        entries = [RandomEntry("rhs", row, dist=Uniform(-1.0, 1.0)) for row in range(4)]
+        if tech:
+            entries.append(RandomEntry("tech", int(rng.integers(4)), int(rng.integers(3)),
+                                       dist=Discrete((-0.5, 0.2, 0.7), (0.3, 0.3, 0.4))))
+        p = TwoStageProblem(Q=base.Q, c=base.c, A=base.A, b=base.b, D=base.D, d=base.d,
+                            xi=base.xi, C=base.C, P=base.P, stochastic_map=entries)
+        F = SaaFunction(p, draw_scenarios(p, substream(seed, "grow", 0), 30))
+        T = F.sibling(draw_scenarios(p, substream(seed, "test_set", 0), 6))
+
+        def check(G, x):
+            want_f, want_g = per_scenario_sum(p, G.scenarios, x)
+            np.testing.assert_allclose(G.value(x), want_f, rtol=1e-10)
+            np.testing.assert_allclose(G.subgrad(x), want_g, rtol=1e-10, atol=1e-12)
+
+        for _ in range(60):
+            if len(F._cells["cells"]) >= 15:
+                break
+            check(F, 3.0 * rng.normal(size=p.n1))
+        assert len(F._cells["cells"]) >= 15
+        x0 = rng.normal(size=p.n1)
+        for x in (x0, x0 + 1e-3 * rng.normal(size=p.n1), 3.0 * rng.normal(size=p.n1)):
+            check(T, x)
+            check(F, x)
 
     def test_sums_run_in_scenario_order(self):
         p = random_problem(11, tech=True)
