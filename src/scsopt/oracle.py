@@ -306,13 +306,15 @@ class SaaFunction:
     def _fill(self, x, missing, rows):
         """Write the rows of the scenarios ``missing``: screen, solve one, pool its cell, repeat.
 
-        The missing right-hand sides, one column each, are screened against
-        every stacked cell.  While scenarios remain, the first is solved
-        warm-started from the last basis, its cell joins the table, and the
-        rest are screened against the cells added since the last pass.
+        The missing right-hand sides, one column each (one product with C_0
+        when C is shared), are screened against every stacked cell.  While
+        scenarios remain, the first is solved warm-started from the last
+        basis, its cell joins the table, and the rest are screened against
+        the cells added since the last pass.
         """
         S, cells = self.scenarios, self._cells["cells"]
-        R = np.ascontiguousarray((S.xi[missing] - S.C[missing] @ x).T)
+        R = (np.subtract(S.xi[missing].T, (S.C[0] @ x)[:, None], order="C") if self._shared_C
+             else np.ascontiguousarray((S.xi[missing] - S.C[missing] @ x).T))
         screened = 0
         while missing.size:
             if len(cells) > screened:

@@ -15,7 +15,9 @@ sample average F:
    0 degenerates to the projected subgradient method);
 3. if the direction norm is at or below ``eps``, probe the active bounds
    for a release whose enlarged-face descent is certified by function
-   evaluations; release and retry, or stop when none descends;
+   evaluations; release and retry, or stop when none descends.  After a failed
+   search, also stop when the trial subgradients whose linearization error at x
+   is at most eps delta have a minimum-norm aggregate within ``eps`` (Kiwiel);
 4. line-search along the direction for a step that both decreases F enough
    (set L) and sufficiently flattens the directional derivative (set R),
    capped so trial points stay inside the radius-delta ball and above the
@@ -103,6 +105,41 @@ def conjugate_direction(g_tilde, d_prev_tilde):
     return -(lam * (-d) + (1.0 - lam) * g), lam
 
 
+def bundle_norm(Z, G, active):
+    """min ||Z Z'(G'lam - sum_{i in active} mu_i e_i)|| over lam on the unit simplex, mu >= 0.
+
+    The distance from 0 to the hull of the subgradient rows of G plus the normal
+    cone of the active lower bounds, inside null(A) for the NullSpaceBasis Z, by
+    Wolfe's (1976) nearest-point loop.  Every iterate is feasible, so the norm
+    returned bounds the minimum from above.
+    """
+    M = np.hstack([Z.Z.T @ G.T, -Z.Z[sorted(active)].T])  # ||Z Z'v|| = ||Z'v||
+    hull = np.arange(M.shape[1]) < len(G)
+    sq = np.einsum("ij,ij->j", M, M)
+    z = (np.arange(M.shape[1]) == np.argmin(np.where(hull, sq, np.inf))).astype(float)
+    for _ in range(4 * M.shape[1]):
+        p = M @ z
+        viol = M.T @ p - np.where(hull, p @ p, 0.0)  # < 0: column j moves p closer to 0
+        j = int(np.argmin(viol))
+        if viol[j] >= -1e-12 * (1.0 + sq.max()) or z[j] > 0.0:
+            break
+        S = np.append(np.flatnonzero(z), j)
+        while True:  # the affine minimizer on S, stepping back into z >= 0 while it leaves
+            K = np.block([[M[:, S].T @ M[:, S], hull[S, None]], [hull[None, S], 0.0]])
+            w = np.linalg.lstsq(K, np.append(np.zeros(S.size), 1.0), rcond=None)[0][:-1]
+            if w.min() >= 0.0:
+                break
+            zs, neg = z[S], np.flatnonzero(w < 0.0)
+            ratio = zs[neg] / (zs[neg] - w[neg])
+            k = int(np.argmin(ratio))
+            z[S] = zs + ratio[k] * (w - zs)
+            z[S[neg[k]]] = 0.0  # the blocking weight, exactly
+            S = S[z[S] > 0.0]
+        z[:] = 0.0
+        z[S] = w
+    return float(np.linalg.norm(M @ z))
+
+
 def step_cap(x, d_tilde, delta, lower_bounds, active):
     """(t_max, bound_blocked): largest step keeping x + t d in the ball and above bounds.
 
@@ -139,7 +176,7 @@ class LineSearchResult:
     n_evals: int = 0
     f_before: float = np.nan
     f_after: float = np.nan
-    trial_points: list = field(default_factory=list)
+    trials: list = field(default_factory=list)  # (x_j, F(x_j), a subgradient at x_j)
     boundary: bool = False  # step taken to a blocking bound on decrease alone
     x_cut: np.ndarray | None = None  # trial with the largest directional derivative
 
@@ -155,7 +192,8 @@ def line_search(F, Z, x, d_tilde, m1, m2, t_max, max_bisections=60,
     the minimum along the ray) shrinks t_hi, a point inside L whose
     directional derivative is still too steep raises t_lo.  Failure reasons:
     ``no_descent`` when no trial improved on F(x) at all, ``max_bisections``
-    otherwise; both are routed to the caller's rejection branch.
+    otherwise; both are routed to the caller's rejection branch.  Every
+    trial is returned with its value and subgradient, for a bundle test.
 
     With ``accept_boundary``, a first trial that achieves sufficient
     decrease at the cap while the derivative is still steeper than R allows
@@ -181,7 +219,7 @@ def line_search(F, Z, x, d_tilde, m1, m2, t_max, max_bisections=60,
     for evals in range(1, max_bisections + 1):
         xt = x + t * d
         ft, gt = F.value_and_subgrad(xt)
-        trials.append(xt)
+        trials.append((xt, ft, gt))
         if ft < f0:
             any_descent = True
         in_L = (ft - f0) <= -m2 * t * dsq
@@ -245,7 +283,7 @@ class IterationDiagnostics:
     dot_dg: float
     d_norm: float
     t_max: float
-    ls_reason: str
+    ls_reason: str  # the search's; a stop is "terminated" (direction) or "certified" (bundle)
     ls_evals: int
     f_before: float
     f_after: float
@@ -257,7 +295,7 @@ class ScsSolver(ParamsMixin):
 
     Parameters
     ----------
-    eps : termination threshold on the modified direction norm.
+    eps : termination threshold on the direction norm and on the bundle norm.
     m1, m2 : line-search constants, 0.25 <= m2 < m1 < 0.5.
     eta1, eta2 : acceptance-test constants, eta1 > 1, eta2 > 0.
     gamma : radius growth/shrink factor, > 1.
@@ -502,8 +540,8 @@ class ScsSolver(ParamsMixin):
         Z_face = self._face_basis(problem, active, face_cache)
         d_prev = np.zeros(problem.n1)
         delta = float(self.delta0)
-        converged = False
         status = "max_iter"
+        bundle, bundle_at, bundle_n = [], None, 0  # (x_j, f_j, g_j) of the trials at x_hat
         g_carry = None  # subgradient carried from the previous line search's exit point
         stale_count = 0
         optimism_budget = 2 * problem.n1
@@ -530,7 +568,7 @@ class ScsSolver(ParamsMixin):
             # Direction on the current face.  When it collapses, either
             # release a bound (taking a small certified-descent step off it)
             # or stop.
-            terminate = False
+            ls = None  # set here when the direction norm stops the fit
             t_max = 0.0
             guard = 0
             while True:
@@ -554,7 +592,7 @@ class ScsSolver(ParamsMixin):
                     cand, rate = None, np.inf
                 certified = rate < -self.eps
                 if cand is None or (not certified and optimism_budget == 0):
-                    terminate = True
+                    ls = LineSearchResult(False, reason="terminated", f_before=F_S.value(x_hat))
                     break
                 if not certified:
                     # No probe certified descent, but the probes only look
@@ -569,31 +607,41 @@ class ScsSolver(ParamsMixin):
                 g = F_S.subgrad(x_hat)
             dot_dg = float(d @ g_t)
 
-            if terminate:
-                converged = True
+            # Bundle: every trial at this incumbent on this sample, tested before the
+            # sample grows.  alpha_j = F(x_hat) - f_j - g_j'(x_hat - x_j) makes g_j an
+            # alpha_j-subgradient at x_hat; alpha_j <= eps delta bounds the aggregate's.
+            if ls is None:
+                try:
+                    t_max, _ = step_cap(x_hat, d, delta, lb, active)
+                    ls = line_search(F_S, Z_face, x_hat, d, self.m1, self.m2, t_max,
+                                     accept_boundary=True, boundary_floor=thickness)
+                except ZeroCap:
+                    t_max = 0.0
+                    ls = LineSearchResult(False, reason="zero_cap", f_before=F_S.value(x_hat))
+                if self.track_trials:
+                    self.trial_points_.extend(x_j for x_j, _, _ in ls.trials)
+                if not np.array_equal(bundle_at, x_hat) or bundle_n != len(F_S):
+                    bundle, bundle_at, bundle_n = [], x_hat, len(F_S)
+                bundle.extend(ls.trials)
+                if not ls.success and bundle:
+                    X, f, G = (np.array(part) for part in zip(*bundle))
+                    alpha = ls.f_before - f - np.einsum("ij,ij->i", G, x_hat - X)
+                    G = list({row.tobytes(): row for row in G[alpha <= self.eps * delta]}.values())
+                    if G and (p_norm := bundle_norm(Z, np.array(G), active)) <= self.eps:
+                        dn, ls.reason = p_norm, "certified"
+            if ls.reason in ("terminated", "certified"):
                 status = "converged"
-                f_S = F_S.value(x_hat)
                 wall = (time.perf_counter() - tic) * 1e3 if self.record_wall_time else 0.0
                 self.history_.append(IterateRecord(
-                    k=k, f_S=f_S, f_eval=scheduled_eval(self, x_hat, k, final=True),
+                    k=k, f_S=ls.f_before, f_eval=scheduled_eval(self, x_hat, k, final=True),
                     d_norm=dn, delta=delta, sample_size=len(F_S), step_t=0.0,
                     accepted=False, wall_ms=wall))
                 self.diagnostics_.append(IterationDiagnostics(
                     k=k, lam=lam, g_norm=float(np.linalg.norm(g_t)),
                     g_post_norm=float(np.linalg.norm(g_t)), dot_dg=dot_dg,
-                    d_norm=dn, t_max=0.0, ls_reason="terminated", ls_evals=0,
-                    f_before=f_S, f_after=f_S, accepted=False))
+                    d_norm=dn, t_max=t_max, ls_reason=ls.reason, ls_evals=ls.n_evals,
+                    f_before=ls.f_before, f_after=ls.f_before, accepted=False))
                 break
-
-            try:
-                t_max, _ = step_cap(x_hat, d, delta, lb, active)
-                ls = line_search(F_S, Z_face, x_hat, d, self.m1, self.m2, t_max,
-                                 accept_boundary=True, boundary_floor=thickness)
-            except ZeroCap:
-                t_max = 0.0
-                ls = LineSearchResult(False, reason="zero_cap", f_before=F_S.value(x_hat))
-            if self.track_trials:
-                self.trial_points_.extend(ls.trial_points)
 
             # Sample growth at the current radius, then the replication test
             # on the grown sample average.
@@ -674,7 +722,7 @@ class ScsSolver(ParamsMixin):
                 stale_count = 0
 
         self.x_ = x_hat
-        self.converged_ = converged
+        self.converged_ = status == "converged"
         self.status_ = status
         self.n_iter_ = k
         self.f_in_sample_ = F_S.value(x_hat)

@@ -405,3 +405,30 @@ def test_pilot_kappa_matches_per_scenario_loop(quadratic, tech):
     assert want > 1.0  # not clamped
     got = ScsSolver(seed=3, delta0=0.1)._pilot_kappa(p, x0)
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+@given(seed=st.integers(0, 2**16), n=st.sampled_from([1, 7, 27, 256]))
+@settings(max_examples=15, deadline=None)
+def test_shared_technology_right_hand_sides_match_the_batched_path(quadratic, seed, n):
+    """With every scenario sharing C, the one 2-D product r = xi - C_0 x gives the
+    screened right-hand sides, and so the values h, of the batched per-scenario
+    product bit for bit.  The subgradient rows take the shared -pi C_0 product by
+    design and agree to rounding."""
+    p = random_problem(seed, tech=False, quadratic=quadratic)
+    S = draw_scenarios(p, substream(seed, "sample"), n)
+    F, F_batched = SaaFunction(p, S), SaaFunction(p, S)
+    assert F._shared_C
+    F_batched._shared_C = False
+    screened = {F: [], F_batched: []}
+    for oracle in screened:
+        def spy(R, start, oracle=oracle, screen=oracle._screen):
+            screened[oracle].append(R.tobytes())
+            return screen(R, start)
+        oracle._screen = spy
+    rng = np.random.default_rng(seed)
+    for x in rng.normal(size=(4, p.n1)):
+        rows, rows_batched = F._solutions(x), F_batched._solutions(x)
+        assert rows[:, 0].tobytes() == rows_batched[:, 0].tobytes()
+        np.testing.assert_allclose(rows[:, 1:], rows_batched[:, 1:], rtol=1e-14, atol=1e-14)
+    assert screened[F] == screened[F_batched]

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from instances import make_two_stage, sqlp_fixtures
+from instances import iid_params, make_two_stage, sqlp_fixtures
+from scsopt import scs
 from scsopt.model import (
     TwoStageProblem,
     enumerate_support,
@@ -10,6 +13,7 @@ from scsopt.model import (
 )
 from scsopt.oracle import SaaFunction
 from scsopt.scs import ScsSolver
+from scsopt.smps import load_smps
 
 
 def deterministic_qp(c=(-1.2, -1.6)):
@@ -205,3 +209,84 @@ def test_wall_time_suppression():
     s2 = ScsSolver(eps=1e-4, sampling="full", max_iter=50, seed=0, record_wall_time=True)
     s2.fit(deterministic_qp())
     assert any(rec.wall_ms > 0.0 for rec in s2.history_)
+
+
+# Criterion-10 settings on the LandS toy.
+LANDS = dict(eps=1e-3, eta2=0.1, sampling="full", max_iter=300, delta0=20.0, delta_max=400.0,
+             bound_lo=0.0, bound_hi=840.0, seed=3)
+
+
+def _bundle_cases():
+    fx = sqlp_fixtures()[1]
+    lands, _ = load_smps("instances/lands_toy.cor", seed=0)
+    return {
+        "sqlp_b_full": (fx.problem, dict(fx.scs, sampling="full", seed=3)),
+        "sqlp_b_iid": (fx.problem, dict(iid_params(), sampling="iid", seed=3)),
+        "lands": (lands, LANDS),
+    }
+
+
+def _fit(problem, params):
+    return ScsSolver(record_wall_time=False, track_trials=False, **params).fit(problem)
+
+
+def _records(solver):
+    return [repr(dataclasses.astuple(r)) for r in solver.history_], \
+        [repr(dataclasses.astuple(r)) for r in solver.diagnostics_]
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("sqlp_b_full", "terminated"),  # over the full support the direction rule stops first
+    ("sqlp_b_iid", "certified"),
+    ("lands", "certified"),
+])
+def test_bundle_stop_leaves_the_path_before_it_bit_identical(case, reason, monkeypatch):
+    problem, params = _bundle_cases()[case]
+    fast = _fit(problem, params)
+    monkeypatch.setattr(scs, "bundle_norm", lambda Z, G, active: np.inf)
+    slow = _fit(problem, params)
+    k, last = fast.n_iter_, fast.diagnostics_[-1]
+    assert fast.status_ == "converged" and last.ls_reason == reason
+    (history, diagnostics), (slow_history, slow_diagnostics) = _records(fast), _records(slow)
+    if reason == "terminated":
+        assert (history, diagnostics) == (slow_history, slow_diagnostics)
+        return
+    assert history[:k - 1] == slow_history[:k - 1]
+    assert diagnostics[:k - 1] == slow_diagnostics[:k - 1]
+    # the norm rule, fed the trials: ||p|| <= eps in the terminal record
+    assert k < slow.n_iter_
+    assert fast.d_norm_ == fast.history_[-1].d_norm == last.d_norm <= fast.eps
+    assert last.ls_evals == slow.diagnostics_[k - 1].ls_evals
+    assert fast.history_[-1].f_S == slow.diagnostics_[k - 1].f_before
+    if case == "lands":
+        assert slow.status_ == "max_iter" and slow.n_iter_ == 300
+        assert k < 150
+        assert fast.x_.tobytes() == slow.x_.tobytes()
+
+
+@pytest.mark.parametrize("alpha, fires", [(10.0, False), (0.0, True)])
+def test_trials_with_a_large_linearization_error_are_dropped(alpha, fires, monkeypatch):
+    """A zero subgradient put into the first failed search's bundle closes the hull at
+    once; with a cut alpha below F(x_hat) at the far trial it is dropped and nothing
+    changes, with alpha = 0 the fit stops there."""
+    problem, params = _bundle_cases()["lands"]
+    plain = _fit(problem, params)
+    search = scs.line_search
+
+    def with_far_cut(F, Z, x, d, *args, **kwargs):
+        ls = search(F, Z, x, d, *args, **kwargs)
+        if not ls.success:
+            ls.trials.append((ls.trials[0][0], ls.f_before - alpha, np.zeros_like(x)))
+        return ls
+
+    monkeypatch.setattr(scs, "line_search", with_far_cut)
+    patched = _fit(problem, params)
+    if fires:
+        first_failure = next(d.k for d in plain.diagnostics_ if d.ls_reason in
+                             ("no_descent", "max_bisections"))
+        assert patched.n_iter_ == first_failure < plain.n_iter_
+        assert patched.diagnostics_[-1].ls_reason == "certified"
+        assert patched.d_norm_ == 0.0
+    else:
+        assert _records(patched) == _records(plain)
+        assert patched.x_.tobytes() == plain.x_.tobytes()

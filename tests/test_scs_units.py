@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from scsopt.exceptions import NonPositiveDelta, ZeroCap
+from scsopt.linalg import null_space_basis
 from scsopt.scs import (
     acceptance_test,
+    bundle_norm,
     conjugate_direction,
     hoeffding_bound,
     lambda_star,
@@ -86,6 +89,81 @@ class TestConjugateDirection:
         d, _ = conjugate_direction(g, d_prev)
         assert np.linalg.norm(d) <= np.linalg.norm(g) + 1e-12
         assert float(d @ g) <= -float(d @ d) + 1e-10
+
+
+def _slsqp_bundle_norm(Z, G, active, rng):
+    """Reference min ||Z'(G'lam - E_W mu)|| by SLSQP, best of three starts."""
+    idx = sorted(active)
+    M = np.hstack([Z.Z.T @ G.T, -Z.Z[idx].T])
+    a = np.concatenate([np.ones(len(G)), np.zeros(len(idx))])
+    best = np.inf
+    for _ in range(3):
+        v0 = np.concatenate([rng.dirichlet(np.ones(len(G))), rng.uniform(0.0, 1.0, len(idx))])
+        res = minimize(lambda v: 0.5 * np.sum((M @ v) ** 2), v0, jac=lambda v: M.T @ (M @ v),
+                       method="SLSQP", bounds=[(0.0, None)] * M.shape[1],
+                       constraints=[{"type": "eq", "fun": lambda v: a @ v - 1.0,
+                                     "jac": lambda v: a}],
+                       options=dict(ftol=1e-14, maxiter=500))
+        best = min(best, float(np.linalg.norm(M @ res.x)))
+    return best
+
+
+class TestBundleNorm:
+    @staticmethod
+    def free(n):
+        return null_space_basis(np.zeros((1, n)))  # no equality rows: Z = I
+
+    def test_zero_in_hull(self):
+        assert bundle_norm(self.free(2), np.array([[1.0, 0.0], [-1.0, 0.0]]), frozenset()) == 0.0
+
+    def test_single_row_is_its_projected_norm(self):
+        Z = null_space_basis(np.array([[1.0, 1.0, 0.0]]))
+        g = np.array([[2.0, 0.0, 1.0]])
+        assert bundle_norm(Z, g, frozenset()) == pytest.approx(np.sqrt(3.0), rel=1e-14)
+
+    def test_equality_normal_is_projected_away(self):
+        Z = null_space_basis(np.array([[1.0, 1.0, 1.0]]))
+        assert bundle_norm(Z, np.array([[1.0, 1.0, 1.0]]), frozenset()) <= 1e-14
+
+    def test_zero_reached_only_through_nonnegative_bound_multipliers(self):
+        # g = (1, 1) on the corner x >= 0: g - mu_0 e_0 - mu_1 e_1 = 0 at mu = (1, 1).
+        G = np.array([[1.0, 1.0]])
+        assert bundle_norm(self.free(2), G, frozenset({0, 1})) <= 1e-14
+        assert bundle_norm(self.free(2), G, frozenset()) == pytest.approx(np.sqrt(2.0))
+        assert bundle_norm(self.free(2), G, frozenset({0})) == pytest.approx(1.0)
+
+    def test_negative_multiplier_needed_does_not_certify(self):
+        # g = (-1, 0) points into the bound x_0 >= 0 from the wrong side: only
+        # mu_0 = -1 would cancel it, so the distance stays 1.
+        G = np.array([[-1.0, 0.0]])
+        assert bundle_norm(self.free(2), G, frozenset({0})) == pytest.approx(1.0, rel=1e-14)
+        G = np.array([[-1.0, 0.5], [-1.0, -0.5]])
+        assert bundle_norm(self.free(2), G, frozenset({0})) == pytest.approx(1.0, rel=1e-14)
+
+    def test_repeated_rows_change_nothing(self):
+        G = np.array([[1.0, 2.0, -1.0], [-2.0, 0.5, 0.3]])
+        Z = self.free(3)
+        assert bundle_norm(Z, np.vstack([G, G, G[:1]]), frozenset({2})) == pytest.approx(
+            bundle_norm(Z, G, frozenset({2})), abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), rows=st.integers(1, 7),
+           with_bounds=st.booleans())
+    def test_matches_slsqp(self, seed, n, rows, with_bounds):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(0, n))
+        Z = null_space_basis(rng.normal(size=(m, n)) if m else np.zeros((1, n)))
+        # a common shift puts the origin inside, near or far from the hull
+        G = rng.normal(size=(rows, n)) + rng.uniform(0.0, 2.0) * rng.normal(size=n)
+        if rows > 2 and rng.random() < 0.3:
+            G[-1] = G[0]
+        active = frozenset()
+        if with_bounds:
+            active = frozenset(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
+        got = bundle_norm(Z, G, active)
+        ref = _slsqp_bundle_norm(Z, G, active, rng)
+        assert got <= ref + 1e-8 * (1.0 + np.abs(G).max())
+        assert got >= ref - 1e-6 * (1.0 + np.abs(G).max())
 
 
 class TestStepCap:
