@@ -28,7 +28,7 @@ from .rng import derive_seed, substream
 
 _SOLVERS = ("scs", "sgd", "smd", "extensive")
 _HARNESS_KEYS = ("eval_sample_size", "eval_every", "replications")
-_EXTENSIVE_LIMIT = 100_000
+_EXTENSIVE_ENTRIES = 4_000_000  # dense matrix entries (8 bytes each) the extensive form may take
 
 
 @dataclass
@@ -91,10 +91,17 @@ def _evaluation_function(problem, seed, eval_sample_size):
     return F.value
 
 
+def _extensive_entries(problem, size):
+    """Dense entries of the extensive form over ``size`` scenarios: A_eq, plus H if quadratic."""
+    rows, cols = problem.m1 + size * problem.m2, problem.n1 + size * problem.n2
+    quadratic = problem.quadratic_recourse or problem.Q.any()
+    return rows * cols + (cols * cols if quadratic else 0)
+
+
 def _extensive_optimum(problem):
-    """Extensive-form optimum over the support, or None past ``_EXTENSIVE_LIMIT`` or without one."""
+    """Extensive-form optimum over the support, or None without one or past _EXTENSIVE_ENTRIES."""
     size = problem.support_size()
-    if size is None or size > _EXTENSIVE_LIMIT:
+    if size is None or _extensive_entries(problem, size) > _EXTENSIVE_ENTRIES:
         return None
     support = model.enumerate_support(problem)
     sol = model.extensive_form(problem, support).solve()
@@ -126,7 +133,7 @@ def run_experiment(config, log=None):
     f_star = _extensive_optimum(problem)
     if f_star is None and config.solver == "extensive":
         raise UnsupportedSolverForInstance(
-            f"extensive form needs a finite support of at most {_EXTENSIVE_LIMIT} scenarios")
+            f"extensive form needs a finite support of at most {_EXTENSIVE_ENTRIES} dense entries")
 
     eval_fn = _evaluation_function(problem, config.seed, config.eval_sample_size)
 

@@ -13,11 +13,12 @@ sample average F:
    negative minimum-norm convex combination of the projected subgradient
    and the previous projected direction (a nonsmooth conjugate step; weight
    0 degenerates to the projected subgradient method);
-3. if the direction norm is at or below ``eps``, probe the active bounds
-   for a release whose enlarged-face descent is certified by function
-   evaluations; release and retry, or stop when none descends.  After a failed
-   search, also stop when the trial subgradients whose linearization error at x
-   is at most eps delta have a minimum-norm aggregate within ``eps`` (Kiwiel);
+3. if the direction norm is at or below ``eps``, probe each active bound
+   once, along its enlarged-face steepest ray, for a release whose descent a
+   function evaluation certifies; release and retry, or stop when none
+   certifies descent.  After a failed search, also stop when the trial
+   subgradients whose linearization error at x is at most eps delta have a
+   minimum-norm aggregate within ``eps`` (Kiwiel);
 4. line-search along the direction for a step that both decreases F enough
    (set L) and sufficiently flattens the directional derivative (set R),
    capped so trial points stay inside the radius-delta ball and above the
@@ -47,7 +48,6 @@ from .exceptions import (
     EmptyNullSpace,
     InfeasibleRegion,
     NonPositiveDelta,
-    NumericalBreakdown,
     ZeroCap,
 )
 from .records import IterateRecord
@@ -141,11 +141,11 @@ def bundle_norm(Z, G, active):
 
 
 def step_cap(x, d_tilde, delta, lower_bounds, active):
-    """(t_max, bound_blocked): largest step keeping x + t d in the ball and above bounds.
+    """Largest step t_max keeping x + t d in the ball and above the lower bounds.
 
     The ratio test skips the ``active`` bounds, whose coordinates the
-    direction keeps fixed; ``bound_blocked`` says a bound, not the radius,
-    set the cap.  Raises ZeroCap when no strictly positive step is feasible.
+    direction keeps fixed.  Raises ZeroCap when no strictly positive step is
+    feasible.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d_tilde, dtype=float)
@@ -163,7 +163,7 @@ def step_cap(x, d_tilde, delta, lower_bounds, active):
     t_max = min(t_ball, t_bound)
     if t_max <= 1e-14 * max(1.0, t_ball):
         raise ZeroCap("no strictly positive feasible step along the direction")
-    return t_max, bool(t_bound <= t_ball)
+    return t_max
 
 
 @dataclass
@@ -400,8 +400,6 @@ class ScsSolver(ParamsMixin):
         L_hat = float(np.linalg.norm(problem.Q @ x0 + problem.c + v, axis=1).max())
         return max(4.0 * L_hat / self.delta0, 1.0)
 
-    # -- main loop ----------------------------------------------------------
-
     # -- active lower bounds --------------------------------------------------
 
     @staticmethod
@@ -435,57 +433,38 @@ class ScsSolver(ParamsMixin):
         return z
 
     def _release_candidate(self, problem, F_S, x_hat, active, face_cache, delta):
-        """(bound index, unit descent direction) whose release descends, or None.
+        """(bound index, unit descent direction) with the steepest certified release, or None.
 
-        At a face minimum the oracle hands back one element of a possibly
-        large subdifferential, so multiplier estimates are unreliable at
-        kinks; instead the post-release steepest direction (the projected
-        negative subgradient on the enlarged face) is evaluated at several
-        step scales up to the radius.  For a convex objective an average
-        slope below -eps at any feasible scale certifies real descent no
-        matter which subgradient the oracle picked, so the test cannot be
-        fooled by a kink sitting at the incumbent.
+        The oracle hands back one element of a possibly large subdifferential,
+        so multiplier estimates are unreliable at kinks.  Instead F is
+        evaluated once along each enlarged-face steepest ray that leaves its
+        bound.  For a convex F the average slope (F(x + t u) - F(x)) / t does
+        not decrease as t grows, so the shortest step certifies the most, and
+        a slope below -eps certifies descent whatever subgradient was picked.
         """
         f0 = F_S.value(x_hat)
         g_inc = F_S.subgrad(x_hat)
         lb = problem.lower_bounds
         tau0 = 1e-6 * (1.0 + float(np.linalg.norm(x_hat)))
         reach = max(delta, self.delta0)
-        best, best_rate = None, np.inf
+        best, best_rate = None, -self.eps
         for i in sorted(active):
             Zr = self._face_basis(problem, active - {i}, face_cache)
             if Zr is None:
                 continue
-            rays = []
             steepest = -linalg.project_null(Zr, g_inc)
             nd = float(np.linalg.norm(steepest))
-            if nd > 1e-12 and steepest[i] > 1e-9 * nd:
-                rays.append(steepest / nd)
-            if not rays:
-                # Steepest does not leave the bound; fall back to the
-                # coordinate ray projected onto the enlarged face.
-                e = np.zeros(problem.n1)
-                e[i] = 1.0
-                coord = linalg.project_null(Zr, e)
-                ncd = float(np.linalg.norm(coord))
-                if ncd > 1e-12 and coord[i] > 1e-9 * ncd:
-                    rays.append(coord / ncd)
-            for direction in rays:
-                # Longest strictly feasible probe along this ray.
-                t_cap = reach
-                if lb is not None:
-                    falling = np.isfinite(lb) & (direction < -1e-12)
-                    for j in np.flatnonzero(falling):
-                        t_cap = min(t_cap, 0.5 * (x_hat[j] - lb[j]) / (-direction[j]))
-                if t_cap <= 0.0:
-                    continue
-                for t in (min(tau0, t_cap), 0.1 * t_cap, t_cap):
-                    if t <= 0.0:
-                        continue
-                    rate = (F_S.value(x_hat + t * direction) - f0) / t
-                    if rate < best_rate:
-                        best, best_rate = (i, direction), rate
-        return best, best_rate
+            if nd <= 1e-12 or steepest[i] <= 1e-9 * nd:
+                continue
+            direction = steepest / nd
+            # Half the distance to the nearest bound the ray falls towards, or the reach.
+            falling = np.isfinite(lb) & (direction < -1e-12)
+            t_cap = np.min(0.5 * (x_hat - lb)[falling] / -direction[falling], initial=reach)
+            t = min(tau0, 0.1 * t_cap)
+            rate = (F_S.value(x_hat + t * direction) - f0) / t
+            if rate < best_rate:
+                best, best_rate = (i, direction), rate
+        return best
 
     def _release_step(self, x_hat, lb, thickness, i, direction):
         """Step off bound i far enough to clear the activation thickness.
@@ -544,7 +523,6 @@ class ScsSolver(ParamsMixin):
         bundle, bundle_at, bundle_n = [], None, 0  # (x_j, f_j, g_j) of the trials at x_hat
         g_carry = None  # subgradient carried from the previous line search's exit point
         stale_count = 0
-        optimism_budget = 2 * problem.n1
         k = 0
         while k < self.max_iter:
             k += 1
@@ -567,14 +545,10 @@ class ScsSolver(ParamsMixin):
 
             # Direction on the current face.  When it collapses, either
             # release a bound (taking a small certified-descent step off it)
-            # or stop.
+            # or stop.  Each release shrinks the active set, so the loop ends.
             ls = None  # set here when the direction norm stops the fit
             t_max = 0.0
-            guard = 0
             while True:
-                guard += 1
-                if guard > problem.n1 + 3:
-                    raise NumericalBreakdown("release loop did not settle")
                 if Z_face is None:
                     g_t = np.zeros(problem.n1)
                     d_prev_t = np.zeros(problem.n1)
@@ -585,21 +559,12 @@ class ScsSolver(ParamsMixin):
                 dn = float(np.linalg.norm(d))
                 if dn > self.eps:
                     break
-                if active:
-                    cand, rate = self._release_candidate(
-                        problem, F_S, x_hat, active, face_cache, delta)
-                else:
-                    cand, rate = None, np.inf
-                certified = rate < -self.eps
-                if cand is None or (not certified and optimism_budget == 0):
+                cand = self._release_candidate(
+                    problem, F_S, x_hat, active, face_cache, delta) if active else None
+                if cand is None:
                     ls = LineSearchResult(False, reason="terminated", f_before=F_S.value(x_hat))
                     break
-                if not certified:
-                    # No probe certified descent, but the probes only look
-                    # along one ray per bound; spend bounded optimism letting
-                    # the search explore the enlarged face directly.
-                    optimism_budget -= 1
-                (i_rel, rel_dir) = cand
+                i_rel, rel_dir = cand
                 x_hat = self._release_step(x_hat, lb, thickness, i_rel, rel_dir)
                 active = active - {i_rel}
                 Z_face = self._face_basis(problem, active, face_cache)
@@ -612,7 +577,7 @@ class ScsSolver(ParamsMixin):
             # alpha_j-subgradient at x_hat; alpha_j <= eps delta bounds the aggregate's.
             if ls is None:
                 try:
-                    t_max, _ = step_cap(x_hat, d, delta, lb, active)
+                    t_max = step_cap(x_hat, d, delta, lb, active)
                     ls = line_search(F_S, Z_face, x_hat, d, self.m1, self.m2, t_max,
                                      accept_boundary=True, boundary_floor=thickness)
                 except ZeroCap:
@@ -620,7 +585,7 @@ class ScsSolver(ParamsMixin):
                     ls = LineSearchResult(False, reason="zero_cap", f_before=F_S.value(x_hat))
                 if self.track_trials:
                     self.trial_points_.extend(x_j for x_j, _, _ in ls.trials)
-                if not np.array_equal(bundle_at, x_hat) or bundle_n != len(F_S):
+                if bundle_at is not x_hat or bundle_n != len(F_S):
                     bundle, bundle_at, bundle_n = [], x_hat, len(F_S)
                 bundle.extend(ls.trials)
                 if not ls.success and bundle:
@@ -644,20 +609,18 @@ class ScsSolver(ParamsMixin):
                 break
 
             # Sample growth at the current radius, then the replication test
-            # on the grown sample average.
+            # of a found step on the grown sample average, against an
+            # independent same-size sample (the support itself when full).
             if self.sampling == "iid":
                 target = sample_size(self.kappa_eps, spread, self.kappa_, delta, self.max_sample)
                 if target > len(F_S):
-                    extra = model.draw_scenarios(
-                        problem, substream(self.seed, "grow", k), target - len(F_S))
-                    F_S.extend(extra)
-                F_T = F_S.sibling(
-                    model.draw_scenarios(problem, substream(self.seed, "test_set", k), len(F_S)))
-            else:
-                F_T = F_S
+                    F_S.extend(model.draw_scenarios(
+                        problem, substream(self.seed, "grow", k), target - len(F_S)))
 
             accepted = False
             if ls.success:
+                F_T = F_S if self.sampling == "full" else F_S.sibling(
+                    model.draw_scenarios(problem, substream(self.seed, "test_set", k), len(F_S)))
                 accepted = acceptance_test(F_S, F_T, ls.x_new, x_hat, dn,
                                            self.eta1, self.eta2, delta)
             if accepted:

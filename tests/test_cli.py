@@ -1,11 +1,14 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from instances import make_two_stage
+from scsopt import cli
 from scsopt.cli import RunConfig, compare, load_instance, main, parse_config_file, run_experiment
 from scsopt.exceptions import MismatchedInstances, UnsupportedSolverForInstance
+from scsopt.model import Discrete, RandomEntry, TwoStageProblem
 from scsopt.native import write_native
 from scsopt.records import read_history_csv, records_equal, write_history_csv
 
@@ -57,7 +60,7 @@ def test_extensive_solver_single_row_summary(tmp_path, instance_path):
 
 def test_extensive_rejects_infinite_support(tmp_path):
     p = make_two_stage(seed=78, n1=3, m1=1, m2=2, n_base=2, rhs_random=1, support_k=(2,))
-    from scsopt.model import Normal, RandomEntry, TwoStageProblem
+    from scsopt.model import Normal
 
     cont = TwoStageProblem(Q=p.Q, c=p.c, A=p.A, b=p.b, D=p.D, d=p.d, xi=p.xi, C=p.C,
                            lower_bounds=p.lower_bounds,
@@ -70,10 +73,43 @@ def test_extensive_rejects_infinite_support(tmp_path):
 
 
 def test_extensive_rejects_support_above_limit(tmp_path, instance_path, monkeypatch):
-    monkeypatch.setattr("scsopt.cli._EXTENSIVE_LIMIT", 8)  # the fixture's support has 9
+    problem, _ = load_instance(instance_path)
+    entries = cli._extensive_entries(problem, problem.support_size())
+    # 9 scenarios of n2 = 6, m2 = 2 around n1 = 4, m1 = 1; Q > 0 adds the Hessian
+    assert entries == 19 * 58 + 58 * 58
+    monkeypatch.setattr("scsopt.cli._EXTENSIVE_ENTRIES", entries)
+    assert cli._extensive_optimum(problem) is not None
+    monkeypatch.setattr("scsopt.cli._EXTENSIVE_ENTRIES", entries - 1)
     cfg = RunConfig(instance=instance_path, solver="extensive", out_dir=str(tmp_path), seed=0)
-    with pytest.raises(UnsupportedSolverForInstance, match="at most 8"):
+    with pytest.raises(UnsupportedSolverForInstance, match=f"at most {entries - 1} dense entries"):
         run_experiment(cfg, log=lambda m: None)
+
+
+def test_large_support_is_bounded_before_the_extensive_form_is_built(tmp_path, monkeypatch):
+    """4,096 scenarios (far below any scenario-count limit) would need a dense A_eq of
+    8,193 x 24,580 and a Hessian of 24,580^2 entries, about 6 GB; the harness must
+    skip f* from the shapes alone."""
+    p = make_two_stage(seed=77, n1=4, m1=1, m2=2, n_base=2, rhs_random=2, support_k=(3, 3))
+    atoms = Discrete(tuple(np.linspace(-1.0, 1.0, 64)), (1.0 / 64,) * 64)
+    big = TwoStageProblem(Q=p.Q, c=p.c, A=p.A, b=p.b, D=p.D, d=p.d, xi=p.xi, C=p.C,
+                          lower_bounds=p.lower_bounds,
+                          stochastic_map=[RandomEntry("rhs", 0, dist=atoms),
+                                          RandomEntry("rhs", 1, dist=atoms)])
+    assert big.support_size() == 4096
+    path = tmp_path / "big.prob"
+    write_native(big, path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the extensive form was built")
+
+    monkeypatch.setattr("scsopt.model.extensive_form", never)
+    assert cli._extensive_optimum(big) is None
+    cfg = RunConfig(instance=str(path), solver="extensive", out_dir=str(tmp_path), seed=0)
+    with pytest.raises(UnsupportedSolverForInstance, match="dense entries"):
+        run_experiment(cfg, log=lambda m: None)
+    cfg = RunConfig(instance=str(path), solver="sgd", params=dict(batch=2, iters=3),
+                    eval_sample_size=8, out_dir=str(tmp_path), seed=0)
+    assert run_experiment(cfg, log=lambda m: None).f_star is None
 
 
 def test_eval_series_padding(tmp_path, instance_path):

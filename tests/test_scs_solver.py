@@ -5,6 +5,7 @@ import pytest
 
 from instances import iid_params, make_two_stage, sqlp_fixtures
 from scsopt import scs
+from scsopt.linalg import project_null
 from scsopt.model import (
     TwoStageProblem,
     enumerate_support,
@@ -290,3 +291,116 @@ def test_trials_with_a_large_linearization_error_are_dropped(alpha, fires, monke
     else:
         assert _records(patched) == _records(plain)
         assert patched.x_.tobytes() == plain.x_.tobytes()
+
+
+# -- bound release ------------------------------------------------------------
+
+def _three_scale_release(solver, problem, F_S, x_hat, active, face_cache, delta):
+    """(best, best_rate) of the release probe that one probe per bound replaced.
+
+    Per active bound: the enlarged-face steepest ray if it leaves the bound, else
+    the projected coordinate ray; each probed at min(tau0, t_cap), t_cap / 10 and
+    t_cap, the best average slope winning whether or not it is below -eps.
+    """
+    f0, g_inc, lb = F_S.value(x_hat), F_S.subgrad(x_hat), problem.lower_bounds
+    tau0 = 1e-6 * (1.0 + float(np.linalg.norm(x_hat)))
+    reach = max(delta, solver.delta0)
+    best, best_rate = None, np.inf
+    for i in sorted(active):
+        Zr = solver._face_basis(problem, active - {i}, face_cache)
+        if Zr is None:
+            continue
+        rays = []
+        steepest = -project_null(Zr, g_inc)
+        nd = float(np.linalg.norm(steepest))
+        if nd > 1e-12 and steepest[i] > 1e-9 * nd:
+            rays.append(steepest / nd)
+        if not rays:
+            coord = project_null(Zr, np.eye(problem.n1)[i])
+            ncd = float(np.linalg.norm(coord))
+            if ncd > 1e-12 and coord[i] > 1e-9 * ncd:
+                rays.append(coord / ncd)
+        for direction in rays:
+            t_cap = reach
+            for j in np.flatnonzero(np.isfinite(lb) & (direction < -1e-12)):
+                t_cap = min(t_cap, 0.5 * (x_hat[j] - lb[j]) / (-direction[j]))
+            for t in (min(tau0, t_cap), 0.1 * t_cap, t_cap):
+                rate = (F_S.value(x_hat + t * direction) - f0) / t
+                if rate < best_rate:
+                    best, best_rate = (i, direction), rate
+    return best, best_rate
+
+
+def _vertex():
+    """min x1 + x2 on {x3 = 1, x >= 0} with a zero recourse: the start (0, 0, 1) is optimal."""
+    return TwoStageProblem(
+        Q=np.zeros((3, 3)), c=[1.0, 1.0, 0.0], A=[[0.0, 0.0, 1.0]], b=[1.0],
+        D=[[1.0]], d=[0.0], xi=[0.0], C=np.zeros((1, 3)), lower_bounds=np.zeros(3),
+        recourse_lo=0.0, recourse_hi=0.0), np.array([0.0, 0.0, 1.0])
+
+
+def _kink():
+    """F = 0.25 - (x1 + x2) / 4 + |x1 - x2| on x3 = 1 + x1 + x2, x4 = 1 - x1 - x2, x >= 0.
+
+    At the start (0, 0, 1, 1) no single bound release descends, only x1 = x2 jointly:
+    the face-local stop the README documents.
+    """
+    return TwoStageProblem(
+        Q=np.zeros((4, 4)), c=[-0.5, -0.5, 0.25, 0.0],
+        A=[[-1.0, -1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]], b=[1.0, 1.0],
+        D=[[1.0, -1.0]], d=[1.0, 1.0], xi=[0.0], C=[[-1.0, 1.0, 0.0, 0.0]],
+        lower_bounds=np.zeros(4), recourse_lo=0.0, recourse_hi=1.0), np.array([0.0, 0.0, 1.0, 1.0])
+
+
+def _release_cases():
+    fixtures = {fx.name: fx.problem for fx in sqlp_fixtures()}
+    crit9 = dict(iid_params(), sampling="iid")
+    full = dict(sampling="full", seed=0)
+    return {
+        "lands": (_bundle_cases()["lands"], [True, True]),
+        "sqlp_b_iid": (_bundle_cases()["sqlp_b_iid"], [True]),
+        "sqlp_a_seed_9": ((fixtures["sqlp_a"], dict(crit9, seed=9)), [True]),
+        "sqlp_c_seed_0": ((fixtures["sqlp_c"], dict(crit9, seed=0)), [True, True, True]),
+        "sqlp_e_seed_10": ((fixtures["sqlp_e"], dict(crit9, seed=10)), [True, True]),
+        "vertex": ((_vertex()[0], dict(full, eps=1e-6, max_iter=200)), [False]),
+        "kink": ((_kink()[0], dict(full, eps=1e-3, max_iter=300)), [False]),
+    }
+
+
+@pytest.mark.parametrize("case", ["lands", "sqlp_b_iid", "sqlp_a_seed_9", "sqlp_c_seed_0",
+                                  "sqlp_e_seed_10", "vertex", "kink"])
+def test_one_probe_release_matches_the_three_scale_probe(case, monkeypatch):
+    """At every release test of a fit: the same bound and a bit-equal direction when the
+    three-scale probe's best slope is below -eps, and None exactly when it is not."""
+    (problem, params), expected = _release_cases()[case]
+    single = ScsSolver._release_candidate
+    released = []
+
+    def checked(self, problem, F_S, x_hat, active, face_cache, delta):
+        got = single(self, problem, F_S, x_hat, active, face_cache, delta)
+        ref, rate = _three_scale_release(self, problem, F_S, x_hat, active, face_cache, delta)
+        if rate < -self.eps:
+            assert got is not None and got[0] == ref[0]
+            assert got[1].tobytes() == ref[1].tobytes()
+        else:
+            assert got is None
+        released.append(got is not None)
+        return got
+
+    monkeypatch.setattr(ScsSolver, "_release_candidate", checked)
+    _fit(problem, params)
+    assert released == expected
+
+
+@pytest.mark.parametrize("make, eps, max_iter", [
+    (_vertex, 1e-6, 200), (_kink, 1e-3, 300), (_kink, 1e-6, 300)])
+def test_an_uncertified_release_stops_at_the_start_vertex(make, eps, max_iter):
+    """No bound release certifies descent, so the first iteration stops the fit where
+    it started; optimistic releases used to spend 9 (vertex) or 14 (kink) iterations
+    to come back to the same point."""
+    problem, start = make()
+    s = ScsSolver(sampling="full", eps=eps, max_iter=max_iter, seed=0,
+                  record_wall_time=False).fit(problem)
+    assert s.status_ == "converged" and s.n_iter_ == 1
+    assert s.diagnostics_[-1].ls_reason == "terminated"
+    np.testing.assert_allclose(s.x_, start, rtol=0.0, atol=1e-12)

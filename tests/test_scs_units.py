@@ -169,12 +169,11 @@ class TestBundleNorm:
 class TestStepCap:
     def test_no_bounds(self):
         d = np.array([3.0, 4.0])
-        t, blocked = step_cap(np.zeros(2), d, 10.0, None, frozenset())
+        t = step_cap(np.zeros(2), d, 10.0, None, frozenset())
         assert t == pytest.approx(2.0)
-        assert not blocked
 
     def test_ratio_test(self):
-        t, _ = step_cap(np.array([1.0, 1.0]), np.array([-1.0, 0.0]), 10.0, np.zeros(2), frozenset())
+        t = step_cap(np.array([1.0, 1.0]), np.array([-1.0, 0.0]), 10.0, np.zeros(2), frozenset())
         assert t == pytest.approx(1.0)
 
     def test_zero_cap_on_bound(self):
@@ -185,17 +184,16 @@ class TestStepCap:
         # x sits on bound 0 and d points out of it: with the bound active the
         # ratio test ignores it, and bound 1 sets the cap.
         x, d, lb = np.array([0.0, 2.0]), np.array([-1.0, -1.0]), np.zeros(2)
-        t, blocked = step_cap(x, d, 10.0, lb, frozenset({0}))
+        t = step_cap(x, d, 10.0, lb, frozenset({0}))
         assert t == pytest.approx(2.0)
-        assert blocked
 
     @pytest.mark.parametrize("gap, blocked", [(0.5, True), (2.0, True), (3.0, False)])
     def test_bound_blocked_iff_bound_within_ball(self, gap, blocked):
         # ||d|| = 1 and delta = 2: the ball allows t = 2, bound 0 allows t = gap.
         x, d = np.array([gap, 0.0]), np.array([-1.0, 0.0])
-        t, got = step_cap(x, d, 2.0, np.array([0.0, -np.inf]), frozenset())
-        assert t == pytest.approx(min(gap, 2.0))
-        assert got is blocked
+        t = step_cap(x, d, 2.0, np.array([0.0, -np.inf]), frozenset())
+        assert t == min(gap, 2.0)
+        assert (t == gap) == blocked
 
 
 class _Quadratic:
