@@ -18,19 +18,15 @@ from .exceptions import DimensionMismatch, EmptyNullSpace, InfeasibleRegion
 
 @dataclass(frozen=True)
 class NullSpaceBasis:
-    """Orthonormal columns of Z span null(A); rank_A counts singular values above tol."""
+    """Orthonormal columns Z spanning null(A), so that Z Z' is the orthogonal projector."""
 
     Z: np.ndarray
-    rank_A: int
-
-    @property
-    def dim(self):
-        return self.Z.shape[1]
 
 
-def null_space_basis(A, tol_rank=1e-10):
+def null_space_basis(A):
     """Orthonormal basis of {d : A d = 0} via a rank-revealing SVD.
 
+    The rank counts the singular values above 1e-10 times the largest.
     Raises EmptyNullSpace when A has full column rank, in which case the
     feasible set {Ax = b} is a single point and the only feasible
     direction is zero.
@@ -44,20 +40,15 @@ def null_space_basis(A, tol_rank=1e-10):
     if smax == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(sig > tol_rank * smax))
+        rank = int(np.sum(sig > 1e-10 * smax))
     if rank == n:
         raise EmptyNullSpace(f"A has full column rank {n}; null space is trivial")
-    Z = Vt[rank:].T.copy()
-    return NullSpaceBasis(Z=Z, rank_A=rank)
+    return NullSpaceBasis(Vt[rank:].T.copy())
 
 
 def project_null(Z, v):
-    """Z Z' v for a NullSpaceBasis Z: the component of v in the feasible directions."""
-    Zm = Z.Z
-    v = as_vector(v, name="v")
-    if v.size != Zm.shape[0]:
-        raise DimensionMismatch(f"v has length {v.size}, expected {Zm.shape[0]}")
-    return Zm @ (Zm.T @ v)
+    """Z Z' v for a float vector v with one entry per row of Z: its component in span(Z)."""
+    return Z.Z @ (Z.Z.T @ v)
 
 
 def project_polyhedral(A, b, lower_bounds, x):

@@ -53,10 +53,6 @@ class Discrete:
         idx = np.searchsorted(np.cumsum(self.probs), u, "left")
         return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
 
-    @property
-    def mean(self):
-        return sum(v * p for v, p in zip(self.values, self.probs))
-
 
 @dataclass(frozen=True)
 class Uniform:
@@ -302,7 +298,6 @@ class ExtensiveSolution:
     status: str
     value: float
     x: np.ndarray | None
-    y: list | None
 
 
 class DeterministicProgram:
@@ -344,7 +339,6 @@ class DeterministicProgram:
         self.lb = lb
         self.n1 = n1
         self.n2 = n2
-        self.n_scenarios = N
         self.is_lp = (not problem.quadratic_recourse) and np.abs(problem.Q).max(initial=0.0) == 0.0
 
     def hessian(self):
@@ -366,10 +360,8 @@ class DeterministicProgram:
             res = qpsolve.solve_qp(self.hessian(), self.lin, self.A_eq, self.b_eq, lb=self.lb)
             status, value, v = res.status, res.obj, res.x
         if status != "optimal":
-            return ExtensiveSolution(status=status, value=np.nan, x=None, y=None)
-        x = v[:self.n1]
-        ys = [v[self.n1 + i * self.n2: self.n1 + (i + 1) * self.n2] for i in range(self.n_scenarios)]
-        return ExtensiveSolution(status="optimal", value=float(value), x=x, y=ys)
+            return ExtensiveSolution(status=status, value=np.nan, x=None)
+        return ExtensiveSolution(status="optimal", value=float(value), x=v[:self.n1])
 
 
 def extensive_form(problem, scenarios):

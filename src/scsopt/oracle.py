@@ -86,12 +86,6 @@ def require_optimal(sol, scenario_index=None):
     raise NumericalBreakdown(f"recourse solve ended with status {sol.status!r}")
 
 
-def scenario_subgrad(problem, x, scenario):
-    """(h, v) at one scenario: v = -C' pi from the recourse program's equality duals."""
-    sol = require_optimal(solve_recourse(problem, scenario, x))
-    return sol.h, -scenario.C.T @ sol.pi
-
-
 def pilot(problem, seed):
     """Oracle over the pilot sample that sets a solver's scale at its starting point."""
     return SaaFunction(problem, model.draw_scenarios(problem, substream(seed, "pilot"), _PILOT_SIZE))

@@ -37,31 +37,18 @@ class QpResult:
     phase1_basis: np.ndarray | None = None  # reusable warm start for feasibility LPs
 
 
-def _null_basis(M, tol=1e-11):
+def _null_basis(M):
     """Orthonormal basis of null(M) for a possibly empty or rank-deficient M."""
     m, n = M.shape
     if m == 0:
         return np.eye(n)
     _, sig, Vt = np.linalg.svd(M)
     smax = sig[0] if sig.size else 0.0
-    rank = int(np.sum(sig > tol * max(smax, 1.0)))
+    rank = int(np.sum(sig > 1e-11 * max(smax, 1.0)))
     return Vt[rank:].T.copy()
 
 
-def feasible_point(A, b, lb, tol=1e-9, basis=None):
-    """A vertex of {Ax = b, x >= lb} via phase-1 simplex, or (None, None) if empty.
-
-    Finite-lower-bound variables are shifted to zero; free variables are
-    split into positive and negative parts.  Returns (x, basis) where the
-    basis warm-starts the next feasibility solve for the same A and lb
-    (any feasible basis is optimal for the zero objective, so a cached
-    basis usually costs zero pivots).  A is 2-D, b and lb 1-D float arrays.
-    """
-    res, x = simplex.solve_lp_bounded(np.zeros(A.shape[1]), A, b, lb, basis=basis, tol=tol)
-    return (x, res.basis) if x is not None else (None, None)
-
-
-def solve_qp(H, g, A, b, lb=None, tol=1e-9, max_iter=None, phase1_basis=None):
+def solve_qp(H, g, A, b, lb=None, phase1_basis=None):
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
     n = g.size
@@ -78,12 +65,13 @@ def solve_qp(H, g, A, b, lb=None, tol=1e-9, max_iter=None, phase1_basis=None):
         lb = np.full(n, -np.inf)
     else:
         lb = np.asarray(lb, dtype=float).reshape(-1)
-    if max_iter is None:
-        max_iter = 100 * (n + m + 10)
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(lb[np.isfinite(lb)]).max(initial=0.0))
 
-    x, out_basis = feasible_point(A, b, lb, tol=tol, basis=phase1_basis)
+    # A vertex of {Ax = b, x >= lb}.  Its basis warm-starts the next solve for
+    # the same A and lb: any feasible basis is optimal for the zero objective,
+    # so a cached one usually costs zero pivots.
+    phase1, x = simplex.solve_lp_bounded(np.zeros(n), A, b, lb, basis=phase1_basis)
     if x is None:
         return QpResult(INFEASIBLE, None, np.inf, None, None, None, 0)
 
@@ -92,7 +80,7 @@ def solve_qp(H, g, A, b, lb=None, tol=1e-9, max_iter=None, phase1_basis=None):
     working = bounded & (x - lb <= act_tol)
     x = np.where(working, lb, x)
 
-    for it in range(max_iter):
+    for it in range(100 * (n + m + 10)):
         free = ~working
         idx_f = np.flatnonzero(free)
         grad = H @ x + g
@@ -125,7 +113,7 @@ def solve_qp(H, g, A, b, lb=None, tol=1e-9, max_iter=None, phase1_basis=None):
             pi, mu = _multipliers(H, g, A, x, idx_f, working)
             mu_min = mu[working].min(initial=0.0) if working.any() else 0.0
             if mu_min >= -1e-8 * (1.0 + float(np.abs(grad).max(initial=0.0))):
-                return _finish(H, g, A, b, lb, x, working, it, out_basis)
+                return _finish(H, g, A, b, lb, x, working, it, phase1.basis)
             drop = np.flatnonzero(working)[int(np.argmin(mu[working]))]
             working[drop] = False
             continue
@@ -141,7 +129,7 @@ def solve_qp(H, g, A, b, lb=None, tol=1e-9, max_iter=None, phase1_basis=None):
                 blocking = i
         if ray:
             if not np.isfinite(alpha_max):
-                return QpResult(UNBOUNDED, None, -np.inf, None, None, None, it, out_basis)
+                return QpResult(UNBOUNDED, None, -np.inf, None, None, None, it, phase1.basis)
             alpha = alpha_max
         else:
             alpha = min(1.0, alpha_max)
@@ -174,7 +162,7 @@ def kkt_holds(A, b, lb, x, free, grad, stat, mu):
     )
 
 
-def _finish(H, g, A, b, lb, x, working, iters, phase1_basis=None):
+def _finish(H, g, A, b, lb, x, working, iters, phase1_basis):
     """Re-solve the KKT system on the final working set for tight residuals."""
     n = x.size
     m = A.shape[0]

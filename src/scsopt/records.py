@@ -4,7 +4,6 @@ Floats are printed with 17 significant digits so that parsing an emitted
 CSV reproduces the in-memory history bit for bit.
 """
 
-import math
 from dataclasses import dataclass
 
 CSV_HEADER = "k,f_S,f_eval,d_norm,delta,sample_size,step_t,accepted,wall_ms"
@@ -68,19 +67,3 @@ def read_history_csv(path):
             wall_ms=float(parts[8]),
         ))
     return out
-
-
-def records_equal(a, b):
-    if len(a) != len(b):
-        return False
-    for r, s in zip(a, b):
-        for name in ("k", "sample_size", "accepted"):
-            if getattr(r, name) != getattr(s, name):
-                return False
-        for name in ("f_S", "f_eval", "d_norm", "delta", "step_t", "wall_ms"):
-            x, y = getattr(r, name), getattr(s, name)
-            if math.isnan(x) and math.isnan(y):
-                continue
-            if x != y:
-                return False
-    return True

@@ -26,9 +26,10 @@ sample average F:
    the derivative can flatten, the step to that boundary is taken on
    sufficient decrease alone and the bound joins the active set;
 5. grow the sample so its size matches the Hoeffding schedule at the
-   current radius, then re-test the candidate's decrease on an independent
-   same-size replication sample; accept (grow delta) or reject (shrink
-   delta, keep the incumbent).
+   current radius; a found step whose direction norm clears eta2 delta (the
+   radius test) then has its decrease re-tested on an independent same-size
+   replication sample, drawn only for such a step; accept (grow delta) or
+   reject (shrink delta, keep the incumbent).
 
 Sample sizes follow  ceil(-8 ln(eps_h/2) (M-m)^2 / (kappa^2 delta^4)),
 which makes the sample average uniformly accurate to ~kappa delta^2 inside
@@ -171,7 +172,6 @@ class LineSearchResult:
     success: bool
     t: float = 0.0
     x_new: np.ndarray | None = None
-    g_new: np.ndarray | None = None
     reason: str = ""
     n_evals: int = 0
     f_before: float = np.nan
@@ -181,8 +181,7 @@ class LineSearchResult:
     x_cut: np.ndarray | None = None  # trial with the largest directional derivative
 
 
-def line_search(F, Z, x, d_tilde, m1, m2, t_max, max_bisections=60,
-                accept_boundary=False, boundary_floor=0.0):
+def line_search(F, Z, x, d_tilde, m1, m2, t_max, accept_boundary=False, boundary_floor=0.0):
     """Bracketing bisection for a step in L and R along d_tilde.
 
     L:  F(x + t d) - F(x) <= -m2 t ||d||^2   (enough decrease)
@@ -190,8 +189,10 @@ def line_search(F, Z, x, d_tilde, m1, m2, t_max, max_bisections=60,
 
     Starts at t_max and maintains [t_lo, t_hi]: a point outside L (or past
     the minimum along the ray) shrinks t_hi, a point inside L whose
-    directional derivative is still too steep raises t_lo.  Failure reasons:
-    ``no_descent`` when no trial improved on F(x) at all, ``max_bisections``
+    directional derivative is still too steep raises t_lo.  The bracket
+    halves on every trial after the first, so it collapses below 1e-7 t_max
+    by the 25th trial.  Failure reasons: ``no_descent`` when no trial
+    improved on F(x) at all, ``max_bisections`` (the bracket collapsed)
     otherwise; both are routed to the caller's rejection branch.  Every
     trial is returned with its value and subgradient, for a bundle test.
 
@@ -207,16 +208,15 @@ def line_search(F, Z, x, d_tilde, m1, m2, t_max, max_bisections=60,
     """
     d = np.asarray(d_tilde, dtype=float)
     dsq = float(d @ d)
-    if dsq <= 0.0 or t_max <= 0.0:
+    if dsq <= 0.0 or not t_max > 0.0:
         raise ValueError("line search needs a nonzero direction and positive t_max")
     f0 = F.value(x)
     t_lo, t_hi = 0.0, float(t_max)
     t = float(t_max)
     any_descent = False
     trials = []
-    xt = None
     x_cut, gd_cut = None, -np.inf
-    for evals in range(1, max_bisections + 1):
+    while True:
         xt = x + t * d
         ft, gt = F.value_and_subgrad(xt)
         trials.append((xt, ft, gt))
@@ -227,11 +227,10 @@ def line_search(F, Z, x, d_tilde, m1, m2, t_max, max_bisections=60,
         if gd > gd_cut:
             gd_cut, x_cut = gd, xt
         if in_L and (0.0 > gd >= -m1 * dsq):
-            return LineSearchResult(True, t, xt, gt, "ok", evals, f0, ft, trials)
-        if (accept_boundary and evals == 1 and in_L and gd < -m1 * dsq
+            return LineSearchResult(True, t, xt, "ok", len(trials), f0, ft, trials)
+        if (accept_boundary and len(trials) == 1 and in_L and gd < -m1 * dsq
                 and t * math.sqrt(dsq) > boundary_floor):
-            return LineSearchResult(True, t, xt, gt, "boundary", evals, f0, ft,
-                                    trials, boundary=True)
+            return LineSearchResult(True, t, xt, "boundary", 1, f0, ft, trials, boundary=True)
         if (not in_L) or gd >= 0.0:
             t_hi = t
         else:
@@ -244,11 +243,11 @@ def line_search(F, Z, x, d_tilde, m1, m2, t_max, max_bisections=60,
     reason = "max_bisections" if any_descent else "no_descent"
     # On failure the most useful subgradient for the next convex combination
     # is the one that cuts the current direction hardest (largest <g(t), d>).
-    return LineSearchResult(False, 0.0, None, None, reason, len(trials), f0, np.nan,
-                            trials, x_cut=x_cut)
+    return LineSearchResult(False, 0.0, None, reason, len(trials), f0, np.nan, trials,
+                            x_cut=x_cut)
 
 
-def acceptance_test(F_S, F_T, x_cand, x_hat_prev, d_norm, eta1, eta2, delta):
+def acceptance_test(F_S, F_T, x_cand, x_hat_prev, eta1):
     """Replication test gating incumbent moves.
 
     The in-sample decrease must be matched, up to the factor eta1, by the
@@ -256,13 +255,14 @@ def acceptance_test(F_S, F_T, x_cand, x_hat_prev, d_norm, eta1, eta2, delta):
 
         eta1 * (F_T(x_cand) - F_T(x_hat)) <= F_S(x_cand) - F_S(x_hat)
 
-    and the direction norm must clear eta2 * delta.  Over a full finite
-    support (F_S is F_T) the test reduces to monotone decrease plus the
-    norm condition.
+    The caller runs it only for a step whose direction norm cleared
+    eta2 * delta (the radius test), so the replication sample is drawn only
+    for such a step.  Over a full finite support (F_S is F_T) the test
+    reduces to monotone decrease.
     """
     lhs = eta1 * (F_T.value(x_cand) - F_T.value(x_hat_prev))
     rhs = F_S.value(x_cand) - F_S.value(x_hat_prev)
-    return bool(lhs <= rhs) and bool(d_norm > eta2 * delta)
+    return bool(lhs <= rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +609,9 @@ class ScsSolver(ParamsMixin):
                 break
 
             # Sample growth at the current radius, then the replication test
-            # of a found step on the grown sample average, against an
-            # independent same-size sample (the support itself when full).
+            # of a found step that passes the radius test, on the grown sample
+            # average, against an independent same-size sample (the support
+            # itself when full).
             if self.sampling == "iid":
                 target = sample_size(self.kappa_eps, spread, self.kappa_, delta, self.max_sample)
                 if target > len(F_S):
@@ -618,11 +619,10 @@ class ScsSolver(ParamsMixin):
                         problem, substream(self.seed, "grow", k), target - len(F_S)))
 
             accepted = False
-            if ls.success:
+            if ls.success and dn > self.eta2 * delta:
                 F_T = F_S if self.sampling == "full" else F_S.sibling(
                     model.draw_scenarios(problem, substream(self.seed, "test_set", k), len(F_S)))
-                accepted = acceptance_test(F_S, F_T, ls.x_new, x_hat, dn,
-                                           self.eta1, self.eta2, delta)
+                accepted = acceptance_test(F_S, F_T, ls.x_new, x_hat, self.eta1)
             if accepted:
                 # New bounds the step landed on are picked up by the
                 # epsilon-active refresh at the top of the next iteration.

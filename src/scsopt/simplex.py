@@ -2,12 +2,12 @@
 
 Returns equality duals alongside the primal solution; downstream code uses
 the duals as subgradient carriers, so optimal bases are resolved to dual
-feasibility (reduced costs >= -tol) before returning.  A dual-simplex path
-re-optimizes a cached basis after a right-hand-side change, which is the
-hot path when one second-stage program is solved along a sequence of
-nearby first-stage points: the reduced costs do not depend on b, so the
-cached basis stays dual feasible and usually reaches the new optimum in a
-handful of pivots without a phase-1 restart.
+feasibility (reduced costs >= -1e-9 (1 + max |c|)) before returning.  A
+dual-simplex path re-optimizes a cached basis after a right-hand-side
+change, which is the hot path when one second-stage program is solved along
+a sequence of nearby first-stage points: the reduced costs do not depend on
+b, so the cached basis stays dual feasible and usually reaches the new
+optimum in a handful of pivots without a phase-1 restart.
 
 The basis inverse is kept explicitly and updated in product form across
 pivots (bases here are small dense matrices); conditioning is screened with
@@ -28,6 +28,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _COND_LIMIT = 1e12
+_TOL = 1e-9  # pricing, pivot and ratio-tie tolerance, relative to the data's scale
 
 
 @dataclass
@@ -40,7 +41,7 @@ class LpResult:
     iterations: int
 
 
-def solve_lp(c, A, b, basis=None, tol=1e-9, max_iter=None):
+def solve_lp(c, A, b, basis=None):
     """Solve min c'x s.t. Ax = b, x >= 0.
 
     ``basis`` is an optional warm-start basis (column indices from a previous
@@ -55,17 +56,16 @@ def solve_lp(c, A, b, basis=None, tol=1e-9, max_iter=None):
     m, n = A.shape
     if c.size != n or b.size != m:
         raise ValueError(f"inconsistent LP dimensions: A is {m}x{n}, c has {c.size}, b has {b.size}")
-    if max_iter is None:
-        max_iter = 100 * (m + n + 10)
+    max_iter = 100 * (m + n + 10)
 
     if basis is not None:
-        result = _warm_solve(c, A, b, np.asarray(basis, dtype=int), tol, max_iter)
+        result = _warm_solve(c, A, b, np.asarray(basis, dtype=int), max_iter)
         if result is not None:
             return result
-    return _cold_solve(c, A, b, tol, max_iter)
+    return _cold_solve(c, A, b, max_iter)
 
 
-def solve_lp_bounded(c, A, b, lb, basis=None, tol=1e-9):
+def solve_lp_bounded(c, A, b, lb, basis=None):
     """(LpResult, v) for min c'v s.t. Av = b, v >= lb, with lb entries possibly -inf.
 
     Finite bounds are shifted to zero and each free variable is split into a
@@ -77,7 +77,7 @@ def solve_lp_bounded(c, A, b, lb, basis=None, tol=1e-9):
     sign = np.ones(col.size)
     sign[1:][col[1:] == col[:-1]] = -1.0
     shift = np.where(finite, lb, 0.0)
-    res = solve_lp(c[col] * sign, A[:, col] * sign, b - A @ shift, basis=basis, tol=tol)
+    res = solve_lp(c[col] * sign, A[:, col] * sign, b - A @ shift, basis=basis)
     if res.status != OPTIMAL:
         return res, None
     v = shift.copy()
@@ -133,13 +133,13 @@ class _Basis:
         return c[self.basis] @ self.B_inv
 
 
-def _primal_loop(c, A, b, bs, tol, max_iter):
+def _primal_loop(c, A, b, bs, max_iter):
     """Primal simplex from a primal-feasible basis. Returns (status, iters)."""
     m, n = A.shape
     in_basis = np.zeros(n, dtype=bool)
     in_basis[bs.basis] = True
     bland_after = max(100, 10 * (m + n))
-    tol_c = tol * (1.0 + float(np.abs(c).max(initial=0.0)))
+    tol_c = _TOL * (1.0 + float(np.abs(c).max(initial=0.0)))
     for it in range(max_iter):
         if it and it % 50 == 0:
             bs.refactor()
@@ -162,14 +162,14 @@ def _primal_loop(c, A, b, bs, tol, max_iter):
                 _check_condition(A[:, bs.basis], bs.B_inv)
                 return OPTIMAL, it
         u = bs.B_inv @ A[:, j]
-        piv_tol = tol * (1.0 + float(np.abs(u).max(initial=0.0)))
+        piv_tol = _TOL * (1.0 + float(np.abs(u).max(initial=0.0)))
         pos = u > piv_tol
         if not pos.any():
             return UNBOUNDED, it
         ratios = np.full(m, np.inf)
         ratios[pos] = np.maximum(xB[pos], 0.0) / u[pos]
         theta = ratios.min()
-        ties = np.flatnonzero(ratios <= theta + tol * (1.0 + abs(theta)))
+        ties = np.flatnonzero(ratios <= theta + _TOL * (1.0 + abs(theta)))
         if it >= bland_after:
             r = int(ties[np.argmin(bs.basis[ties])])
         else:
@@ -180,12 +180,12 @@ def _primal_loop(c, A, b, bs, tol, max_iter):
     raise NumericalBreakdown("primal simplex pivot limit reached")
 
 
-def _dual_loop(c, A, b, bs, tol, max_iter):
+def _dual_loop(c, A, b, bs, max_iter):
     """Dual simplex from a dual-feasible basis. Returns (status, iters) or None."""
     m, n = A.shape
     in_basis = np.zeros(n, dtype=bool)
     in_basis[bs.basis] = True
-    tol_x = tol * (1.0 + float(np.abs(b).max(initial=0.0)))
+    tol_x = _TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
     for it in range(max_iter):
         if it and it % 50 == 0:
             bs.refactor()
@@ -200,13 +200,13 @@ def _dual_loop(c, A, b, bs, tol, max_iter):
         pi = bs.duals(c)
         red = c - A.T @ pi
         red[bs.basis] = 0.0
-        piv_tol = tol * (1.0 + float(np.abs(w).max(initial=0.0)))
+        piv_tol = _TOL * (1.0 + float(np.abs(w).max(initial=0.0)))
         cand = np.flatnonzero(~in_basis & (w < -piv_tol))
         if cand.size == 0:
             return INFEASIBLE, it
         ratios = red[cand] / (-w[cand])
         theta = ratios.min()
-        ties = cand[ratios <= theta + tol * (1.0 + abs(theta))]
+        ties = cand[ratios <= theta + _TOL * (1.0 + abs(theta))]
         j = int(ties.min())
         in_basis[bs.basis[r]] = False
         in_basis[j] = True
@@ -214,7 +214,7 @@ def _dual_loop(c, A, b, bs, tol, max_iter):
     return None  # budget exhausted; caller falls back to a cold start
 
 
-def _warm_solve(c, A, b, basis, tol, max_iter):
+def _warm_solve(c, A, b, basis, max_iter):
     m, n = A.shape
     if basis.size != m or basis.min(initial=0) < 0 or basis.max(initial=-1) >= n:
         return None
@@ -230,14 +230,14 @@ def _warm_solve(c, A, b, basis, tol, max_iter):
         return None
     red = c - A.T @ pi
     red[basis] = 0.0
-    tol_c = tol * (1.0 + float(np.abs(c).max(initial=0.0)))
-    tol_x = tol * (1.0 + float(np.abs(b).max(initial=0.0)))
+    tol_c = _TOL * (1.0 + float(np.abs(c).max(initial=0.0)))
+    tol_x = _TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
     if red.min(initial=0.0) < -tol_c:
         return None  # not dual feasible, e.g. a basis for another cost: start cold
     iters = 0
     if xB.min(initial=0.0) < -tol_x:
         try:
-            out = _dual_loop(c, A, b, bs, tol, max_iter)
+            out = _dual_loop(c, A, b, bs, max_iter)
         except NumericalBreakdown:
             return None
         if out is None:
@@ -251,7 +251,7 @@ def _warm_solve(c, A, b, basis, tol, max_iter):
     return LpResult(OPTIMAL, x, float(c @ x), pi, bs.basis.copy(), iters)
 
 
-def _cold_solve(c, A, b, tol, max_iter):
+def _cold_solve(c, A, b, max_iter):
     m, n = A.shape
     # Phase 1: flip rows to make b >= 0, start from the all-artificial basis.
     flip = np.where(b < 0.0, -1.0, 1.0)
@@ -259,7 +259,7 @@ def _cold_solve(c, A, b, tol, max_iter):
     b1 = b * flip
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     bs = _Basis(A1, np.arange(n, n + m))
-    status, it1 = _primal_loop(c1, A1, b1, bs, tol, max_iter)
+    status, it1 = _primal_loop(c1, A1, b1, bs, max_iter)
     if status != OPTIMAL:
         raise NumericalBreakdown("phase-1 simplex did not terminate cleanly")
     xB = bs.solution(b1)
@@ -295,7 +295,7 @@ def _cold_solve(c, A, b, tol, max_iter):
 
     A_red = A1[:, :n]
     bs = _Basis(A_red, basis)
-    status, it2 = _primal_loop(c, A_red, b1, bs, tol, max_iter)
+    status, it2 = _primal_loop(c, A_red, b1, bs, max_iter)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, -np.inf, None, bs.basis.copy(), it1 + it2)
     xB = bs.solution(b1)

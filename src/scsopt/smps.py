@@ -46,9 +46,6 @@ class CoreModel:
     bounds: dict = field(default_factory=dict)         # col -> [lo, up]
     quad: dict = field(default_factory=dict)           # (col, col) -> value
 
-    def nonzeros(self):
-        return len(self.entries)
-
 
 @dataclass
 class PeriodSplit:
@@ -72,6 +69,14 @@ def _data_lines(text):
             continue
         is_header = not raw[0].isspace()
         yield line_no, is_header, line.split()
+
+
+def _number(token, what, line_no):
+    """float(token), or MalformedSection naming ``what`` and the line."""
+    try:
+        return float(token)
+    except ValueError:
+        raise MalformedSection(f"bad {what} {token!r}", line_no)
 
 
 def parse_core(text):
@@ -134,10 +139,7 @@ def parse_core(text):
                 key = (row, col)
                 if key in core.entries:
                     raise DuplicateName(f"coefficient for ({row}, {col}) given twice")
-                try:
-                    core.entries[key] = float(val)
-                except ValueError:
-                    raise MalformedSection(f"bad coefficient {val!r}", line_no)
+                core.entries[key] = _number(val, "coefficient", line_no)
                 counts["COLUMNS"] += 1
         elif section == "RHS":
             if len(toks) not in (3, 5):
@@ -148,10 +150,7 @@ def parse_core(text):
                 row, val = toks[i], toks[i + 1]
                 if row != core.obj_row and row not in row_set:
                     raise UnknownRow(f"RHS references unknown row {row!r}")
-                try:
-                    core.rhs[row] = float(val)
-                except ValueError:
-                    raise MalformedSection(f"bad RHS value {val!r}", line_no)
+                core.rhs[row] = _number(val, "RHS value", line_no)
                 counts["RHS"] += 1
         elif section == "BOUNDS":
             if len(toks) < 3:
@@ -163,7 +162,7 @@ def parse_core(text):
             if btype in ("LO", "UP", "FX"):
                 if len(toks) < 4:
                     raise MalformedSection(f"{btype} bound needs a value", line_no)
-                val = float(toks[3])
+                val = _number(toks[3], "bound value", line_no)
                 if btype == "LO":
                     lo_up[0] = val
                 elif btype == "UP":
@@ -184,7 +183,7 @@ def parse_core(text):
             c1, c2 = toks[0], toks[1]
             if c1 not in col_set or c2 not in col_set:
                 raise UnknownName(f"QUADOBJ references unknown column in {toks}")
-            core.quad[(c1, c2)] = float(toks[2])
+            core.quad[(c1, c2)] = _number(toks[2], "QUADOBJ value", line_no)
     if "ROWS" not in saw or counts["ROWS"] == 0 or not core.obj_row:
         raise MalformedSection("CORE file needs a ROWS section with an objective row")
     if "COLUMNS" not in saw or counts["COLUMNS"] == 0:

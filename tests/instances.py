@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from scsopt.model import Discrete, RandomEntry, TwoStageProblem, enumerate_support
-from scsopt.oracle import SaaFunction
+from scsopt.oracle import SaaFunction, require_optimal, solve_recourse
+
+
+def scenario_subgrad(problem, x, scenario):
+    """(h, v) at one scenario by its own solve: v = -C' pi from the equality duals."""
+    sol = require_optimal(solve_recourse(problem, scenario, x))
+    return sol.h, -scenario.C.T @ sol.pi
 
 
 @dataclass

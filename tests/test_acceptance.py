@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from instances import iid_params, make_two_stage, sqlp_fixtures, sqqp_fixtures
+from instances import iid_params, make_two_stage, scenario_subgrad, sqlp_fixtures, sqqp_fixtures
 from scsopt.baselines import SgdSolver, SmdSolver
 from scsopt.cli import RunConfig, run_experiment
 from scsopt.model import (
@@ -25,7 +25,6 @@ from scsopt.oracle import (
     SaaFunction,
     closed_form_dual_value,
     closed_form_multiplier,
-    scenario_subgrad,
     solve_recourse,
 )
 from scsopt.rng import substream

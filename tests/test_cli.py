@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -10,7 +11,7 @@ from scsopt.cli import RunConfig, compare, load_instance, main, parse_config_fil
 from scsopt.exceptions import MismatchedInstances, UnsupportedSolverForInstance
 from scsopt.model import Discrete, RandomEntry, TwoStageProblem
 from scsopt.native import write_native
-from scsopt.records import read_history_csv, records_equal, write_history_csv
+from scsopt.records import read_history_csv, write_history_csv
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,11 @@ def instance_path(tmp_path_factory):
     p = make_two_stage(seed=77, n1=4, m1=1, m2=2, n_base=2, rhs_random=2, support_k=(3, 3))
     write_native(p, path)
     return str(path)
+
+
+def same_records(a, b):
+    """Field-for-field equality by repr, so NaN equals NaN and floats compare bit for bit."""
+    return repr([dataclasses.astuple(r) for r in a]) == repr([dataclasses.astuple(r) for r in b])
 
 
 SCS_FAST = dict(eps=0.05, max_iter=25, max_sample=64, delta0=2.0, delta_min=0.05)
@@ -30,7 +36,7 @@ def test_csv_round_trip_exact(tmp_path, instance_path):
     summary = run_experiment(cfg, log=lambda m: None)
     hist = summary.histories[0]
     parsed = read_history_csv(summary.csv_paths[0])
-    assert records_equal(hist, parsed)
+    assert same_records(hist, parsed)
     ks = [r.k for r in parsed]
     assert ks == sorted(ks) and len(set(ks)) == len(ks)
 
@@ -220,4 +226,4 @@ def test_history_csv_handles_nan(tmp_path):
     write_history_csv(path, [rec])
     back = read_history_csv(path)
     assert math.isnan(back[0].f_eval)
-    assert records_equal([rec], back)
+    assert same_records([rec], back)

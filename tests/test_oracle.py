@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instances import scenario_subgrad
 from scsopt.exceptions import RecourseInfeasible
 from scsopt.model import (
     Discrete,
@@ -18,7 +19,6 @@ from scsopt.oracle import (
     SaaFunction,
     closed_form_dual_value,
     closed_form_multiplier,
-    scenario_subgrad,
     solve_recourse,
 )
 from scsopt.rng import substream

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from scsopt.qpsolve import feasible_point, solve_qp
+from scsopt.qpsolve import solve_qp
+from scsopt.simplex import solve_lp_bounded
 
 
 def brute_force_qp(H, g, A, b, lb):
@@ -112,15 +113,15 @@ def test_unbounded_detection():
 
 def test_feasible_point_vertex():
     A = np.array([[1.0, 1.0, 1.0]])
-    x, basis = feasible_point(A, np.array([2.0]), np.zeros(3))
+    res, x = solve_lp_bounded(np.zeros(3), A, np.array([2.0]), np.zeros(3))
     assert x is not None
     assert np.abs(A @ x - 2.0).max() < 1e-9
     assert x.min() >= -1e-12
     # warm restart with the returned basis
-    x2, _ = feasible_point(A, np.array([3.0]), np.zeros(3), basis=basis)
+    _, x2 = solve_lp_bounded(np.zeros(3), A, np.array([3.0]), np.zeros(3), basis=res.basis)
     assert np.abs(A @ x2 - 3.0).max() < 1e-9
 
 
 def test_feasible_point_empty():
-    x, basis = feasible_point(np.array([[1.0, 1.0]]), np.array([-2.0]), np.zeros(2))
-    assert x is None and basis is None
+    res, x = solve_lp_bounded(np.zeros(2), np.array([[1.0, 1.0]]), np.array([-2.0]), np.zeros(2))
+    assert x is None and res.status == "infeasible"

@@ -293,6 +293,27 @@ def test_trials_with_a_large_linearization_error_are_dropped(alpha, fires, monke
         assert patched.x_.tobytes() == plain.x_.tobytes()
 
 
+def test_replication_sample_is_drawn_only_past_the_radius_test(monkeypatch):
+    """The i.i.d. replication oracle (one ``sibling`` call) is built exactly at the
+    iterations whose search succeeded and whose direction norm clears eta2 times the
+    radius in force there: the delta of the previous record, delta0 at k = 1."""
+    problem, params = _bundle_cases()["sqlp_b_iid"]
+    sibling, built = SaaFunction.sibling, []
+
+    def counted(self, scenarios):
+        built.append(len(scenarios))
+        return sibling(self, scenarios)
+
+    monkeypatch.setattr(SaaFunction, "sibling", counted)
+    solver = _fit(problem, params)
+    radius = [solver.delta0] + [r.delta for r in solver.history_]
+    found = [(r.d_norm, radius[r.k - 1]) for r, d in zip(solver.history_, solver.diagnostics_)
+             if d.ls_reason in ("ok", "boundary")]
+    passed = sum(d_norm > solver.eta2 * delta for d_norm, delta in found)
+    assert passed < len(found)  # some successful search fails the radius test
+    assert len(built) == passed
+
+
 # -- bound release ------------------------------------------------------------
 
 def _three_scale_release(solver, problem, F_S, x_hat, active, face_cache, delta):

@@ -288,19 +288,18 @@ class TestAcceptanceTest:
     def test_candidate_equals_incumbent(self):
         F = _Fixed({0.0: 1.0})
         x = np.zeros(1)
-        assert acceptance_test(F, F, x, x, d_norm=1.0, eta1=2.0, eta2=0.1, delta=1.0)
-        assert not acceptance_test(F, F, x, x, d_norm=0.05, eta1=2.0, eta2=0.1, delta=1.0)
+        assert acceptance_test(F, F, x, x, eta1=2.0)
 
     def test_decrease_on_s_but_contradicted_on_t(self):
         F_S = _Fixed({0.0: 1.0, 1.0: 0.5})   # candidate looks better in-sample
         F_T = _Fixed({0.0: 1.0, 1.0: 1.4})   # held-out says worse, beyond the slack
         x_hat = np.zeros(1)
         x_cand = np.ones(1)
-        assert not acceptance_test(F_S, F_T, x_cand, x_hat, 1.0, 2.0, 0.1, 1.0)
+        assert not acceptance_test(F_S, F_T, x_cand, x_hat, 2.0)
 
     def test_full_support_reduces_to_monotone_decrease(self):
         F = _Fixed({0.0: 1.0, 1.0: 0.9})
         x_hat, x_cand = np.zeros(1), np.ones(1)
-        assert acceptance_test(F, F, x_cand, x_hat, 1.0, 2.0, 0.1, 1.0)
+        assert acceptance_test(F, F, x_cand, x_hat, 2.0)
         F_up = _Fixed({0.0: 1.0, 1.0: 1.1})
-        assert not acceptance_test(F_up, F_up, x_cand, x_hat, 1.0, 2.0, 0.1, 1.0)
+        assert not acceptance_test(F_up, F_up, x_cand, x_hat, 2.0)

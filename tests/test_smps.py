@@ -88,6 +88,18 @@ class TestParseCore:
         with pytest.warns(UserWarning, match="RANGES"):
             parse_core(text)
 
+    def test_bad_bound_value_names_its_line(self):
+        text = MINI_CORE.replace("ENDATA", "BOUNDS\n UP BND       Y1        abc\nENDATA")
+        with pytest.raises(MalformedSection, match="bad bound value 'abc'") as err:
+            parse_core(text)
+        assert err.value.line_no == 13
+
+    def test_bad_quadobj_value_names_its_line(self):
+        text = MINI_CORE.replace("ENDATA", "QUADOBJ\n    X1        X1        two\nENDATA")
+        with pytest.raises(MalformedSection, match="bad QUADOBJ value 'two'") as err:
+            parse_core(text)
+        assert err.value.line_no == 13
+
 
 class TestParseTime:
     def test_split_matches_hand_count(self):
@@ -123,7 +135,7 @@ class TestParseStoch:
             "5.0   PERIOD2   0.6", "7.0   PERIOD2   0.7")
         stoch = parse_stoch(text, core, split)
         (_col, _row, dist), = stoch.marginals
-        assert dist.mean == pytest.approx(6.4)
+        assert sum(v * p for v, p in zip(dist.values, dist.probs)) == pytest.approx(6.4)
 
     def test_probabilities_must_sum_to_one(self):
         core = parse_core(MINI_CORE)
