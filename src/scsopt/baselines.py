@@ -45,25 +45,12 @@ class _BaselineSolver(ParamsMixin):
         if (self.averaging or self.averaging_default) not in ("last", "uniform"):
             raise ValueError("averaging must be 'last' or 'uniform'")
 
-    def _step(self, k):
-        raise NotImplementedError
-
-    def _auto_scale(self, problem, x0):
-        """Default step constant from a small pilot: domain-radius / subgradient-norm.
-
-        The classical sqrt-rate step policy; the pilot supplies the scale when
-        the caller does not.
-        """
-        g_hat = float(np.linalg.norm(oracle.pilot(problem, self.seed).subgrad(x0)))
-        d_hat = 1.0 + float(np.linalg.norm(x0))
-        return d_hat, max(g_hat, 1e-8)
-
     def fit(self, problem):
         self._validate()
         averaging = self.averaging or self.averaging_default
         x = model.initial_feasible_point(problem)
         lb = problem.lower_bounds
-        self._resolve_scale(problem, x)
+        base = self._base_step(problem, x)
         x_sum = x.copy()
         self.history_ = []
         for k in range(1, self.iters + 1):
@@ -71,7 +58,7 @@ class _BaselineSolver(ParamsMixin):
             batch = model.draw_scenarios(problem, substream(self.seed, "batch", k), self.batch)
             F = oracle.SaaFunction(problem, batch) if k == 1 else F.sibling(batch)
             g = F.subgrad(x)
-            alpha = self._step(k)
+            alpha = base if self.step_rule == "constant" else base / np.sqrt(k)
             x = linalg.project_polyhedral(problem.A, problem.b, lb, x - alpha * g)
             x_sum += x
             rep = x_sum / (k + 1) if averaging == "uniform" else x
@@ -100,15 +87,12 @@ class SgdSolver(_BaselineSolver):
 
     averaging_default = "last"
 
-    def _resolve_scale(self, problem, x0):
-        if self.c is None:
-            d_hat, g_hat = self._auto_scale(problem, x0)
-            self._c = d_hat / g_hat
-        else:
-            self._c = float(self.c)
-
-    def _step(self, k):
-        return self._c if self.step_rule == "constant" else self._c / np.sqrt(k)
+    def _base_step(self, problem, x0):
+        """c, or a pilot estimate of domain radius over subgradient norm at x0."""
+        if self.c is not None:
+            return float(self.c)
+        g_hat = float(np.linalg.norm(oracle.pilot(problem, self.seed).subgrad(x0)))
+        return (1.0 + float(np.linalg.norm(x0))) / max(g_hat, 1e-8)
 
 
 class SmdSolver(_BaselineSolver):
@@ -117,21 +101,13 @@ class SmdSolver(_BaselineSolver):
     The prox step then coincides with a projected subgradient step of size
     c / (G_bound sqrt(k)); ``G_bound`` is the user-supplied bound on the
     subgradient norm the method requires up front, and ``c`` absorbs the
-    domain-diameter constant of the step policy (None estimates the
-    diameter from a pilot).  Uniform iterate averaging is the default
+    domain-diameter constant of the step policy (None takes 1 + ||x0||, x0
+    the starting point).  Uniform iterate averaging is the default
     representative point.
     """
 
     averaging_default = "uniform"
 
-    def _resolve_scale(self, problem, x0):
-        if self.c is None:
-            d_hat, _ = self._auto_scale(problem, x0)
-            self._c = d_hat
-        else:
-            self._c = float(self.c)
-
-    def _step(self, k):
-        base = self._c / self.G_bound
-        return base if self.step_rule == "constant" else base / np.sqrt(k)
-
+    def _base_step(self, problem, x0):
+        c = float(self.c) if self.c is not None else 1.0 + float(np.linalg.norm(x0))
+        return c / self.G_bound

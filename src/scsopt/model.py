@@ -24,6 +24,8 @@ from .base import as_lower_bounds, as_matrix, as_vector
 from .exceptions import DimensionMismatch
 from .rng import substream
 
+_MAX_SCENARIOS = 1_000_000  # largest support enumerate_support builds
+
 
 # ---------------------------------------------------------------------------
 # distributions
@@ -251,16 +253,17 @@ def draw_scenarios(problem, rng, n):
     return _place(problem, values, np.full(n, 1.0 / n))
 
 
-def enumerate_support(problem, max_scenarios=1_000_000):
+def enumerate_support(problem):
     """Exact finite support with product weights; requires discrete marginals only.
 
     Atoms come in ``itertools.product`` order (the last entry varies fastest).
+    A support above ``_MAX_SCENARIOS`` atoms raises before anything is allocated.
     """
     if not problem.has_finite_support():
         raise ValueError("support enumeration requires finite (discrete) marginals")
     size = problem.support_size()
-    if size > max_scenarios:
-        raise ValueError(f"support has {size} scenarios, above limit {max_scenarios}")
+    if size > _MAX_SCENARIOS:
+        raise ValueError(f"support has {size} scenarios, above limit {_MAX_SCENARIOS}")
     entries = problem.stochastic_map
     atoms = np.indices([len(e.dist.values) for e in entries]).reshape(len(entries), size)
     values = np.empty((size, len(entries)))
@@ -286,8 +289,8 @@ class ScenarioSampler:
     def sample(self, n):
         return draw_scenarios(self.problem, self._rng, n)
 
-    def support(self, max_scenarios=1_000_000):
-        return enumerate_support(self.problem, max_scenarios=max_scenarios)
+    def support(self):
+        return enumerate_support(self.problem)
 
 
 # ---------------------------------------------------------------------------

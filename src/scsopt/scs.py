@@ -28,8 +28,10 @@ sample average F:
 5. grow the sample so its size matches the Hoeffding schedule at the
    current radius; a found step whose direction norm clears eta2 delta (the
    radius test) then has its decrease re-tested on an independent same-size
-   replication sample, drawn only for such a step; accept (grow delta) or
-   reject (shrink delta, keep the incumbent).
+   replication sample, drawn only for such a step (over a full support the
+   radius test alone decides: the replication sample would be the support,
+   on which the step already lowered F); accept (grow delta) or reject
+   (shrink delta, keep the incumbent).
 
 Sample sizes follow  ceil(-8 ln(eps_h/2) (M-m)^2 / (kappa^2 delta^4)),
 which makes the sample average uniformly accurate to ~kappa delta^2 inside
@@ -257,8 +259,8 @@ def acceptance_test(F_S, F_T, x_cand, x_hat_prev, eta1):
 
     The caller runs it only for a step whose direction norm cleared
     eta2 * delta (the radius test), so the replication sample is drawn only
-    for such a step.  Over a full finite support (F_S is F_T) the test
-    reduces to monotone decrease.
+    for such a step, and skips it over a full finite support: there F_T would
+    be F_S, on which a found step already decreased, and eta1 > 1.
     """
     lhs = eta1 * (F_T.value(x_cand) - F_T.value(x_hat_prev))
     rhs = F_S.value(x_cand) - F_S.value(x_hat_prev)
@@ -279,7 +281,6 @@ class IterationDiagnostics:
     k: int
     lam: float
     g_norm: float
-    g_post_norm: float
     dot_dg: float
     d_norm: float
     t_max: float
@@ -594,72 +595,50 @@ class ScsSolver(ParamsMixin):
                     G = list({row.tobytes(): row for row in G[alpha <= self.eps * delta]}.values())
                     if G and (p_norm := bundle_norm(Z, np.array(G), active)) <= self.eps:
                         dn, ls.reason = p_norm, "certified"
-            if ls.reason in ("terminated", "certified"):
-                status = "converged"
-                wall = (time.perf_counter() - tic) * 1e3 if self.record_wall_time else 0.0
-                self.history_.append(IterateRecord(
-                    k=k, f_S=ls.f_before, f_eval=scheduled_eval(self, x_hat, k, final=True),
-                    d_norm=dn, delta=delta, sample_size=len(F_S), step_t=0.0,
-                    accepted=False, wall_ms=wall))
-                self.diagnostics_.append(IterationDiagnostics(
-                    k=k, lam=lam, g_norm=float(np.linalg.norm(g_t)),
-                    g_post_norm=float(np.linalg.norm(g_t)), dot_dg=dot_dg,
-                    d_norm=dn, t_max=t_max, ls_reason=ls.reason, ls_evals=ls.n_evals,
-                    f_before=ls.f_before, f_after=ls.f_before, accepted=False))
-                break
-
-            # Sample growth at the current radius, then the replication test
-            # of a found step that passes the radius test, on the grown sample
-            # average, against an independent same-size sample (the support
-            # itself when full).
-            if self.sampling == "iid":
-                target = sample_size(self.kappa_eps, spread, self.kappa_, delta, self.max_sample)
-                if target > len(F_S):
-                    F_S.extend(model.draw_scenarios(
-                        problem, substream(self.seed, "grow", k), target - len(F_S)))
-
+            # A stop records the incumbent and leaves.  Otherwise the sample
+            # grows, and a found step that clears the radius test is re-tested
+            # on an independent same-size sample; over a full support that
+            # sample is the support, on which the step already decreased, so
+            # the radius test alone decides.
+            stop = ls.reason in ("terminated", "certified")
             accepted = False
-            if ls.success and dn > self.eta2 * delta:
-                F_T = F_S if self.sampling == "full" else F_S.sibling(
-                    model.draw_scenarios(problem, substream(self.seed, "test_set", k), len(F_S)))
-                accepted = acceptance_test(F_S, F_T, ls.x_new, x_hat, self.eta1)
-            if accepted:
-                # New bounds the step landed on are picked up by the
-                # epsilon-active refresh at the top of the next iteration.
-                x_hat = ls.x_new
-                delta = min(self.gamma * delta, self.delta_max)
-            else:
-                delta = max(delta / self.gamma, delta_floor)
-
-            # Subgradient source for the next direction, on the grown sample:
-            # the (possibly new) incumbent after a successful search, but the
-            # hardest-cutting trial point after a failed one.  A failed
-            # search means no step satisfied both line-search conditions,
-            # typically because a kink sits between the brackets; folding the
-            # far-side slope into the next convex combination is what lets
-            # the direction shrink or turn along the kink instead of
-            # stalling.
-            if accepted or ls.success:
-                carry_point = x_hat
-            elif ls.x_cut is not None:
-                carry_point = ls.x_cut
-            else:
-                carry_point = x_hat
-            g_carry = F_S.subgrad(carry_point)
-            g_post = g_carry if carry_point is x_hat else F_S.subgrad(x_hat)
-            f_S = F_S.value(x_hat)
+            if not stop:
+                if self.sampling == "iid":
+                    target = sample_size(self.kappa_eps, spread, self.kappa_, delta,
+                                         self.max_sample)
+                    if target > len(F_S):
+                        F_S.extend(model.draw_scenarios(
+                            problem, substream(self.seed, "grow", k), target - len(F_S)))
+                if ls.success and dn > self.eta2 * delta:
+                    accepted = self.sampling == "full" or acceptance_test(
+                        F_S, F_S.sibling(model.draw_scenarios(
+                            problem, substream(self.seed, "test_set", k), len(F_S))),
+                        ls.x_new, x_hat, self.eta1)
+                if accepted:
+                    # New bounds the step landed on are picked up by the
+                    # epsilon-active refresh at the top of the next iteration.
+                    x_hat = ls.x_new
+                    delta = min(self.gamma * delta, self.delta_max)
+                else:
+                    delta = max(delta / self.gamma, delta_floor)
+                # Subgradient for the next direction, on the grown sample: the
+                # (possibly new) incumbent, or after a failed search the
+                # hardest-cutting trial point, so the far-side slope of a kink
+                # between the brackets lets the direction shrink or turn along
+                # the kink instead of stalling.
+                g_carry = F_S.subgrad(ls.x_cut if ls.x_cut is not None else x_hat)
             wall = (time.perf_counter() - tic) * 1e3 if self.record_wall_time else 0.0
             self.history_.append(IterateRecord(
-                k=k, f_S=f_S, f_eval=scheduled_eval(self, x_hat, k),
+                k=k, f_S=F_S.value(x_hat), f_eval=scheduled_eval(self, x_hat, k, final=stop),
                 d_norm=dn, delta=delta, sample_size=len(F_S),
-                step_t=ls.t if ls.success else 0.0,
-                accepted=accepted, wall_ms=wall))
+                step_t=ls.t if ls.success else 0.0, accepted=accepted, wall_ms=wall))
             self.diagnostics_.append(IterationDiagnostics(
-                k=k, lam=lam, g_norm=float(np.linalg.norm(g_t)),
-                g_post_norm=float(np.linalg.norm(linalg.project_null(Z, g_post))),
-                dot_dg=dot_dg, d_norm=dn, t_max=t_max, ls_reason=ls.reason,
-                ls_evals=ls.n_evals, f_before=ls.f_before, f_after=ls.f_after,
-                accepted=accepted))
+                k=k, lam=lam, g_norm=float(np.linalg.norm(g_t)), dot_dg=dot_dg, d_norm=dn,
+                t_max=t_max, ls_reason=ls.reason, ls_evals=ls.n_evals, f_before=ls.f_before,
+                f_after=ls.f_before if stop else ls.f_after, accepted=accepted))
+            if stop:
+                status = "converged"
+                break
             if accepted and not ls.boundary:
                 # Serious step: restart the convex combination.  Conjugacy
                 # is only meaningful across null steps at one incumbent;

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from instances import make_two_stage
-from scsopt import linalg, qpsolve
+from scsopt import linalg, oracle, qpsolve
 from scsopt.baselines import SgdSolver, SmdSolver
 from scsopt.model import TwoStageProblem, enumerate_support
 from scsopt.oracle import SaaFunction
@@ -155,6 +155,29 @@ def test_warm_projection_rarely_needs_the_qp(monkeypatch, cls):
     monkeypatch.setattr(qpsolve, "solve_qp", counted)
     long_bounded_fit(cls)
     assert len(calls) <= 5
+
+
+def test_only_sgd_sets_its_default_step_from_a_pilot(monkeypatch):
+    # SMD's default c is 1 + ||x0||, so its fit builds no pilot oracle; SGD's
+    # default step divides that by the pilot's subgradient norm, built once.
+    p = make_two_stage(seed=43, n1=4, m1=1, m2=2, n_base=2, rhs_random=2, support_k=(3, 3))
+    pilot, built = oracle.pilot, []
+
+    def no_pilot(problem, seed):
+        raise AssertionError("SMD built a pilot oracle")
+
+    monkeypatch.setattr(oracle, "pilot", no_pilot)
+    smd = SmdSolver(c=None, iters=10, seed=1, record_wall_time=False).fit(p)
+    assert np.all(np.isfinite(smd.x_)) and len(smd.history_) == 10
+
+    def counted(problem, seed):
+        built.append(seed)
+        return pilot(problem, seed)
+
+    monkeypatch.setattr(oracle, "pilot", counted)
+    sgd = SgdSolver(c=None, iters=10, seed=1, record_wall_time=False).fit(p)
+    assert built == [1]
+    assert np.all(np.isfinite(sgd.x_)) and len(sgd.history_) == 10
 
 
 def test_huge_g_bound_freezes_smd():

@@ -187,6 +187,23 @@ class TestTrueObjective:
             assert lhs <= rhs + 1e-8
 
 
+def test_support_above_the_limit_raises_before_allocating(monkeypatch):
+    # seven independent 8-atom marginals: 8^7 = 2,097,152 atoms
+    eighth = Discrete(tuple(range(8)), (0.125,) * 8)
+    p = TwoStageProblem(Q=np.zeros((2, 2)), c=[1.0, 2.0], A=[[1.0, 1.0]], b=[1.0],
+                        D=np.eye(7), d=np.ones(7), xi=np.zeros(7), C=np.zeros((7, 2)),
+                        stochastic_map=[RandomEntry("rhs", i, dist=eighth) for i in range(7)])
+
+    def no_atom_table(*args, **kwargs):
+        raise AssertionError("the atom table was built")
+
+    monkeypatch.setattr(np, "indices", no_atom_table)
+    with pytest.raises(ValueError, match="2097152 scenarios, above limit 1000000"):
+        enumerate_support(p)
+    with pytest.raises(ValueError, match="above limit"):
+        ScenarioSampler(p).support()
+
+
 def test_initial_feasible_point_respects_bounds():
     # the affine projection of the origin, (1.5, -1.5), breaks a bound
     p = simple_problem(A=[[1.0, -1.0]], b=[3.0], lower_bounds=[0.0, 0.0])

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from instances import iid_params, make_two_stage, sqlp_fixtures
+from instances import iid_params, make_two_stage, sqlp_fixtures, sqqp_fixtures
 from scsopt import scs
 from scsopt.linalg import project_null
 from scsopt.model import (
@@ -312,6 +312,32 @@ def test_replication_sample_is_drawn_only_past_the_radius_test(monkeypatch):
     passed = sum(d_norm > solver.eta2 * delta for d_norm, delta in found)
     assert passed < len(found)  # some successful search fails the radius test
     assert len(built) == passed
+
+
+@pytest.mark.parametrize("case", ["lands", "sqqp_a"])
+def test_full_support_accepts_on_the_radius_test_alone(case, monkeypatch):
+    """Over the full support the replication sample would be the support itself, on
+    which a found step already decreased, so no replication test runs and every
+    found step that clears the radius test is accepted."""
+    if case == "lands":
+        problem, params = _bundle_cases()["lands"]
+    else:
+        fx = sqqp_fixtures()[0]
+        problem, params = fx.problem, dict(fx.scs, sampling="full", seed=7)
+    plain = _fit(problem, params)
+
+    def no_replication(*args):
+        raise AssertionError("replication test run over the full support")
+
+    monkeypatch.setattr(scs, "acceptance_test", no_replication)
+    patched = _fit(problem, params)
+    assert _records(patched) == _records(plain)
+    assert patched.x_.tobytes() == plain.x_.tobytes()
+    radius = [patched.delta0] + [r.delta for r in patched.history_]
+    for r, d in zip(patched.history_, patched.diagnostics_):
+        passed = d.ls_reason in ("ok", "boundary") and r.d_norm > patched.eta2 * radius[r.k - 1]
+        assert r.accepted == passed
+    assert sum(r.accepted for r in patched.history_) >= 10
 
 
 # -- bound release ------------------------------------------------------------

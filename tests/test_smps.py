@@ -206,6 +206,86 @@ class TestAssemble:
         assert ours == pytest.approx(expected, abs=1e-9)
 
 
+# First stage: x1 <= 4 (UP), x2 = 2 (FX), x3 free below (MI), one L row and an
+# off-diagonal QUADOBJ term; second stage: a G row with a random x1 entry, an E
+# row, y1 <= 5 (UP) and y2 with PL (no row).
+BOUNDED_CORE = """\
+NAME        BOUNDED
+ROWS
+ N  OBJ
+ L  C1
+ G  R1
+ E  R2
+COLUMNS
+    X1        OBJ       1.0    C1        1.0
+    X1        R1       -1.0
+    X2        OBJ       2.0    C1        1.0
+    X3        OBJ      -1.0    C1        1.0
+    X3        R2        1.0
+    Y1        OBJ       3.0    R1        1.0
+    Y1        R2        1.0
+    Y2        OBJ       4.0    R1        1.0
+    Y2        R2       -1.0
+RHS
+    RHS       C1       10.0    R1        3.0
+    RHS       R2        1.0
+BOUNDS
+ UP BND       X1        4.0
+ FX BND       X2        2.0
+ MI BND       X3
+ UP BND       Y1        5.0
+ PL BND       Y2
+QUADOBJ
+    X1        X3        0.5
+ENDATA
+"""
+
+BOUNDED_TIME = """\
+TIME        BOUNDED
+PERIODS     IMPLICIT
+    X1        C1        PERIOD1
+    Y1        R1        PERIOD2
+ENDATA
+"""
+
+BOUNDED_STOCH = """\
+STOCH       BOUNDED
+INDEP       DISCRETE
+    X1        R1       -1.0   PERIOD2   0.25
+    X1        R1       -2.0   PERIOD2   0.75
+ENDATA
+"""
+
+
+def test_bounds_and_quadobj_assemble_to_hand_written_arrays():
+    core = parse_core(BOUNDED_CORE)
+    split = parse_time(BOUNDED_TIME, core)
+    problem, _ = assemble(core, split, parse_stoch(BOUNDED_STOCH, core, split))
+    # columns x1 x2 x3 s(C1) s(x1 <= 4); rows C1, x1 <= 4, x2 = 2 (no slack)
+    np.testing.assert_array_equal(problem.A, [[1, 1, 1, 1, 0],
+                                              [1, 0, 0, 0, 1],
+                                              [0, 1, 0, 0, 0]])
+    np.testing.assert_array_equal(problem.b, [10, 4, 2])
+    np.testing.assert_array_equal(problem.lower_bounds, [0, 2, -np.inf, 0, 0])
+    np.testing.assert_array_equal(problem.c, [1, 2, -1, 0, 0])
+    Q = np.zeros((5, 5))
+    Q[0, 2] = Q[2, 0] = 0.5
+    np.testing.assert_array_equal(problem.Q, Q)
+    # columns y1 y2 s(R1, G) s(y1 <= 5); rows R1, R2, y1 <= 5
+    np.testing.assert_array_equal(problem.D, [[1, 1, -1, 0],
+                                              [1, -1, 0, 0],
+                                              [1, 0, 0, 1]])
+    np.testing.assert_array_equal(problem.xi, [3, 1, 5])
+    np.testing.assert_array_equal(problem.C, [[-1, 0, 0, 0, 0],
+                                              [0, 0, 1, 0, 0],
+                                              [0, 0, 0, 0, 0]])
+    np.testing.assert_array_equal(problem.d, [3, 4, 0, 0])
+    assert problem.P is None
+    (entry,) = problem.stochastic_map
+    assert (entry.kind, entry.row, entry.col) == ("tech", 0, 0)
+    assert (entry.dist.values, entry.dist.probs) == ((-1.0, -2.0), (0.25, 0.75))
+
+
 class TestLandsToy:
     def test_parses_and_enumerates(self):
         problem, sampler = load_smps("instances/lands_toy.cor", seed=0)
