@@ -65,9 +65,8 @@ class ExperimentSummary:
 def load_instance(path, fmt="auto", seed=0):
     """(TwoStageProblem, ScenarioSampler) from a native or SMPS instance path."""
     if fmt == "auto":
-        lowered = path.lower()
-        smps_exts = (".cor", ".core", ".tim", ".time", ".sto", ".stoch", ".mps")
-        fmt = "smps" if lowered.endswith(smps_exts) else "native"
+        smps_exts = smps._CORE_EXTS + smps._TIME_EXTS + smps._STOCH_EXTS
+        fmt = "smps" if path.lower().endswith(smps_exts) else "native"
     if fmt == "smps":
         return smps.load_smps(path, seed=seed)
     if fmt == "native":

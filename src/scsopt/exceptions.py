@@ -9,10 +9,6 @@ class DimensionMismatch(ScsoptError):
     """Inputs have mutually inconsistent shapes."""
 
 
-class EmptyNullSpace(ScsoptError):
-    """The constraint matrix has full column rank; only the zero direction is feasible."""
-
-
 class InfeasibleRegion(ScsoptError):
     """The polyhedron {Az = b, z >= lb} is empty."""
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import qpsolve
 from .base import as_lower_bounds, as_matrix, as_vector
-from .exceptions import DimensionMismatch, EmptyNullSpace, InfeasibleRegion
+from .exceptions import DimensionMismatch, InfeasibleRegion
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,8 @@ def null_space_basis(A):
     """Orthonormal basis of {d : A d = 0} via a rank-revealing SVD.
 
     The rank counts the singular values above 1e-10 times the largest.
-    Raises EmptyNullSpace when A has full column rank, in which case the
-    feasible set {Ax = b} is a single point and the only feasible
-    direction is zero.
+    When A has full column rank the basis has zero columns: {Ax = b} is a
+    single point, and every projection onto it is the zero direction.
     """
     A = as_matrix(A, "A")
     m, n = A.shape
@@ -41,8 +40,6 @@ def null_space_basis(A):
         rank = 0
     else:
         rank = int(np.sum(sig > 1e-10 * smax))
-    if rank == n:
-        raise EmptyNullSpace(f"A has full column rank {n}; null space is trivial")
     return NullSpaceBasis(Vt[rank:].T.copy())
 
 

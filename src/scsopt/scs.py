@@ -8,7 +8,8 @@ sample average F:
    searches still feed far-side slope information back into the direction —
    and project it onto the null space of the active constraints (the
    equality rows plus any lower bounds the incumbent sits on), keeping
-   search directions feasible;
+   search directions feasible; a single-point feasible set or face has a
+   basis with no columns, so its projected subgradient is zero;
 2. combine it with the previous direction: the new direction is the
    negative minimum-norm convex combination of the projected subgradient
    and the previous projected direction (a nonsmooth conjugate step; weight
@@ -47,12 +48,7 @@ import numpy as np
 
 from . import linalg, model, oracle
 from .base import ParamsMixin, scheduled_eval
-from .exceptions import (
-    EmptyNullSpace,
-    InfeasibleRegion,
-    NonPositiveDelta,
-    ZeroCap,
-)
+from .exceptions import NonPositiveDelta, ZeroCap
 from .records import IterateRecord
 from .rng import substream
 
@@ -306,9 +302,11 @@ class ScsSolver(ParamsMixin):
         The sampling schedule's accuracy argument presupposes a positive
         smallest radius; without a floor, a run whose sample size is capped
         can shrink the radius geometrically and strangle its own steps.
-    kappa : accuracy constant of the sampling schedule; None estimates it
-        from a small pilot sample as max(4 * Lhat / delta0, 1), Lhat being
-        the largest subgradient norm seen at the starting point.
+    kappa : accuracy constant of the i.i.d. sampling schedule; None
+        estimates it from a small pilot sample as max(4 * Lhat / delta0, 1),
+        Lhat being the largest subgradient norm seen at the starting point.
+        Under "full" sampling no schedule runs, no pilot is drawn, and
+        ``kappa_`` is None.
     kappa_eps : failure probability inside the sampling schedule.
     bound_lo, bound_hi : declared bounds [m, M] on the recourse value; None
         falls back to the instance's declared bounds, then to (0, 1).
@@ -326,7 +324,10 @@ class ScsSolver(ParamsMixin):
 
     Attributes set by fit: ``x_``, ``history_``, ``diagnostics_``,
     ``trial_points_``, ``converged_``, ``status_``, ``n_iter_``, ``kappa_``,
-    ``null_space_``, ``f_in_sample_``, ``d_norm_``.
+    ``null_space_``, ``f_in_sample_``, ``d_norm_``.  ``status_`` is
+    "converged" (a norm rule stopped the fit) or "max_iter".  A single-point
+    feasible set has a ``null_space_`` with no columns: its first direction
+    is zero, so it stops "converged" at k = 1.
     """
 
     def __init__(self, eps=1e-3, m1=0.4, m2=0.3, eta1=2.0, eta2=0.1, gamma=2.0,
@@ -405,16 +406,10 @@ class ScsSolver(ParamsMixin):
 
     @staticmethod
     def _face_basis(problem, active, cache):
-        """Null-space basis of the equality rows plus the active bounds."""
-        Zf = cache.get(active)
-        if Zf is not None or active in cache:
-            return Zf
-        try:
-            Zf = linalg.null_space_basis(_face_rows(problem, active)[0])
-        except EmptyNullSpace:
-            Zf = None  # the face is a single point
-        cache[active] = Zf
-        return Zf
+        """Null-space basis of the equality rows plus the active bounds (no columns at a point)."""
+        if active not in cache:
+            cache[active] = linalg.null_space_basis(_face_rows(problem, active)[0])
+        return cache[active]
 
     @staticmethod
     def _pin_to_face(problem, x, active):
@@ -451,8 +446,6 @@ class ScsSolver(ParamsMixin):
         best, best_rate = None, -self.eps
         for i in sorted(active):
             Zr = self._face_basis(problem, active - {i}, face_cache)
-            if Zr is None:
-                continue
             steepest = -linalg.project_null(Zr, g_inc)
             nd = float(np.linalg.norm(steepest))
             if nd <= 1e-12 or steepest[i] <= 1e-9 * nd:
@@ -490,18 +483,12 @@ class ScsSolver(ParamsMixin):
         self.diagnostics_ = []
         self.trial_points_ = []
 
-        try:
-            Z = linalg.null_space_basis(problem.A)
-        except EmptyNullSpace:
-            # The feasible set is a single point; nothing to optimize.
-            self._finalize_fixed_point(problem, x0)
-            return self
-        self.null_space_ = Z
-        self.kappa_ = self._pilot_kappa(problem, x0)
-
+        Z = self.null_space_ = linalg.null_space_basis(problem.A)
         if self.sampling == "full":
+            self.kappa_ = None  # only the i.i.d. schedule reads it
             S = model.enumerate_support(problem)
         else:
+            self.kappa_ = self._pilot_kappa(problem, x0)
             n0 = sample_size(self.kappa_eps, spread, self.kappa_, self.delta0, self.max_sample)
             S = model.draw_scenarios(problem, substream(self.seed, "grow", 0), n0)
         F_S = oracle.SaaFunction(problem, S)
@@ -550,13 +537,8 @@ class ScsSolver(ParamsMixin):
             ls = None  # set here when the direction norm stops the fit
             t_max = 0.0
             while True:
-                if Z_face is None:
-                    g_t = np.zeros(problem.n1)
-                    d_prev_t = np.zeros(problem.n1)
-                else:
-                    g_t = linalg.project_null(Z_face, g)
-                    d_prev_t = linalg.project_null(Z_face, d_prev)
-                d, lam = conjugate_direction(g_t, d_prev_t)
+                g_t = linalg.project_null(Z_face, g)
+                d, lam = conjugate_direction(g_t, linalg.project_null(Z_face, d_prev))
                 dn = float(np.linalg.norm(d))
                 if dn > self.eps:
                     break
@@ -668,24 +650,5 @@ class ScsSolver(ParamsMixin):
         self.status_ = status
         self.n_iter_ = k
         self.f_in_sample_ = F_S.value(x_hat)
-        self.d_norm_ = self.history_[-1].d_norm if self.history_ else 0.0
+        self.d_norm_ = self.history_[-1].d_norm
         return self
-
-    def _finalize_fixed_point(self, problem, x0):
-        x = x0
-        if problem.lower_bounds is not None and np.any(x < problem.lower_bounds - 1e-9):
-            raise InfeasibleRegion("unique feasible point violates the lower bounds")
-        scen = model.draw_scenarios(problem, substream(self.seed, "grow", 0), 1)
-        F = oracle.SaaFunction(problem, scen)
-        self.x_ = x
-        self.converged_ = True
-        self.status_ = "unique_point"
-        self.n_iter_ = 0
-        self.kappa_ = self.kappa if self.kappa is not None else 1.0
-        self.null_space_ = None
-        self.f_in_sample_ = F.value(x)
-        self.d_norm_ = 0.0
-        self.history_.append(IterateRecord(
-            k=1, f_S=self.f_in_sample_, f_eval=scheduled_eval(self, x, 1, final=True),
-            d_norm=0.0, delta=self.delta0, sample_size=len(F), step_t=0.0,
-            accepted=False, wall_ms=0.0))

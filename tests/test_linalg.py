@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scsopt import qpsolve
-from scsopt.exceptions import EmptyNullSpace, InfeasibleRegion
+from scsopt.exceptions import InfeasibleRegion
 from scsopt.linalg import null_space_basis, project_null, project_polyhedral
 
 
@@ -15,9 +15,10 @@ def test_one_row_null_space():
     np.testing.assert_allclose(abs(v), np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-12)
 
 
-def test_full_column_rank_raises():
-    with pytest.raises(EmptyNullSpace):
-        null_space_basis(np.eye(2))
+def test_full_column_rank_gives_a_zero_column_basis():
+    basis = null_space_basis(np.eye(2))
+    assert basis.Z.shape == (2, 0)
+    np.testing.assert_array_equal(project_null(basis, np.array([3.0, -4.0])), [0.0, 0.0])
 
 
 def test_random_full_row_rank_identities():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from instances import iid_params, make_two_stage, sqlp_fixtures, sqqp_fixtures
-from scsopt import scs
+from scsopt import oracle, scs
+from scsopt.exceptions import InfeasibleRegion
 from scsopt.linalg import project_null
 from scsopt.model import (
     TwoStageProblem,
@@ -135,15 +136,59 @@ def test_failed_search_exercises_radius_shrink():
     assert shrank
 
 
-def test_unique_feasible_point_short_circuits():
-    p = TwoStageProblem(
-        Q=np.eye(2), c=[1.0, 1.0], A=np.eye(2), b=[0.4, 0.6],
-        D=[[1.0]], d=[0.0], xi=[0.0], C=np.zeros((1, 2)),
+def single_point(b, lower_bounds=None):
+    """A feasible set {x : I x = b}, optionally with bounds x >= lower_bounds."""
+    return TwoStageProblem(
+        Q=np.eye(2), c=[1.0, 1.0], A=np.eye(2), b=b,
+        D=[[1.0]], d=[0.0], xi=[0.0], C=np.zeros((1, 2)), lower_bounds=lower_bounds,
     )
-    s = ScsSolver(sampling="full", seed=0, record_wall_time=False)
-    s.fit(p)
-    assert s.status_ == "unique_point"
-    np.testing.assert_allclose(s.x_, [0.4, 0.6], atol=1e-10)
+
+
+@pytest.mark.parametrize("sampling", ["full", "iid"])
+@pytest.mark.parametrize("b, lower_bounds", [
+    pytest.param([0.4, 0.6], None, id="free"),
+    pytest.param([0.4, 0.6], [0.0, 0.0], id="inside-bounds"),
+    # x_0 sits on its bound: the release probe sees a zero ray
+    pytest.param([0.0, 1.0], [0.0, 0.0], id="on-a-bound"),
+])
+def test_single_point_stops_by_the_norm_rule(sampling, b, lower_bounds):
+    s = ScsSolver(sampling=sampling, seed=0, record_wall_time=False)
+    s.fit(single_point(b, lower_bounds))
+    assert s.status_ == "converged" and s.converged_
+    assert s.n_iter_ == 1 and len(s.history_) == 1
+    assert s.diagnostics_[-1].ls_reason == "terminated"
+    assert s.null_space_.Z.shape == (2, 0)
+    assert s.d_norm_ == 0.0
+    np.testing.assert_array_equal(s.x_, b)
+
+
+@pytest.mark.parametrize("sampling", ["full", "iid"])
+def test_single_point_below_a_bound_is_infeasible(sampling):
+    with pytest.raises(InfeasibleRegion):
+        ScsSolver(sampling=sampling, seed=0).fit(single_point([-0.4, 0.6], [0.0, 0.0]))
+
+
+def test_only_iid_sampling_builds_the_pilot(monkeypatch):
+    # The pilot sets kappa_ for the i.i.d. schedule; a full-support fit reads no kappa_.
+    pilot, built = oracle.pilot, []
+
+    def no_pilot(problem, seed):
+        raise AssertionError("a full-support fit built a pilot oracle")
+
+    monkeypatch.setattr(oracle, "pilot", no_pilot)
+    full = ScsSolver(eps=1e-4, sampling="full", max_iter=50, seed=0,
+                     record_wall_time=False).fit(deterministic_qp())
+    assert full.converged_ and full.kappa_ is None
+
+    def counted(problem, seed):
+        built.append(seed)
+        return pilot(problem, seed)
+
+    monkeypatch.setattr(oracle, "pilot", counted)
+    iid = ScsSolver(eps=1e-4, sampling="iid", max_iter=50, seed=3,
+                    record_wall_time=False).fit(deterministic_qp())
+    assert built == [3]
+    assert iid.kappa_ >= 1.0
 
 
 def test_terminal_projected_gradient_small_on_smooth_instance():
@@ -195,12 +240,8 @@ def test_parameter_validation():
         ScsSolver(sampling="bogus").fit(deterministic_qp())
     with pytest.raises(ValueError, match="delta_min"):
         ScsSolver(delta0=1.0, delta_min=5.0).fit(deterministic_qp())
-    unique_point = TwoStageProblem(
-        Q=np.eye(2), c=[1.0, 1.0], A=np.eye(2), b=[0.4, 0.6],
-        D=[[1.0]], d=[0.0], xi=[0.0], C=np.zeros((1, 2)),
-    )
     with pytest.raises(ValueError, match="delta_min"):
-        ScsSolver(delta0=1.0, delta_min=5.0).fit(unique_point)
+        ScsSolver(delta0=1.0, delta_min=5.0).fit(single_point([0.4, 0.6]))
 
 
 def test_wall_time_suppression():
