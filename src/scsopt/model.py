@@ -46,14 +46,18 @@ class Discrete:
             raise ValueError("discrete probabilities must be positive")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError(f"discrete probabilities sum to {sum(probs)!r}, not 1")
+        object.__setattr__(self, "_cum", np.cumsum(probs))
+        object.__setattr__(self, "_values", np.asarray(values))
 
     def draw(self, rng):
         return float(self.quantile(rng.random()))
 
+    def index(self, u):
+        """Atom indices at uniforms ``u``: the first whose cumulative probability reaches u."""
+        return np.minimum(np.searchsorted(self._cum, u, "left"), len(self.values) - 1)
+
     def quantile(self, u):
-        """Atoms at uniforms ``u``: the first whose cumulative probability reaches u."""
-        idx = np.searchsorted(np.cumsum(self.probs), u, "left")
-        return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
+        return self._values[self.index(u)]
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,8 @@ class ScenarioSet:
     """Ordered scenarios whose weights sum to one, stored as arrays.
 
     ``xi`` is N x m2, ``C`` is N x m2 x n1 and ``weights`` has length N.
+    ``atoms`` is None or, for rows of a finite support, each row's index in
+    ``enumerate_support``'s order; rows that share an index are equal.
     Indexing or iterating yields ``Scenario`` views of single rows.
     """
 
@@ -190,21 +196,21 @@ class ScenarioSet:
         if not scenarios:
             raise ValueError("scenario set must be non-empty")
         self._assign(np.array([s.xi for s in scenarios]), np.array([s.C for s in scenarios]),
-                     np.array([s.weight for s in scenarios], dtype=float))
+                     np.array([s.weight for s in scenarios], dtype=float), None)
 
     @classmethod
-    def from_arrays(cls, xi, C, weights):
+    def from_arrays(cls, xi, C, weights, atoms=None):
         out = cls.__new__(cls)
-        out._assign(xi, C, weights)
+        out._assign(xi, C, weights, atoms)
         return out
 
-    def _assign(self, xi, C, weights):
-        if not np.all(weights > 0.0):
+    def _assign(self, xi, C, weights, atoms):
+        if not (weights > 0.0).all():
             raise ValueError("scenario weight must be positive")
         total = float(weights.sum())
         if abs(total - 1.0) > 1e-12 * len(weights):
             raise ValueError(f"scenario weights sum to {total!r}, not 1")
-        self.xi, self.C, self.weights = xi, C, weights
+        self.xi, self.C, self.weights, self.atoms = xi, C, weights, atoms
 
     def __len__(self):
         return len(self.weights)
@@ -221,7 +227,7 @@ def as_scenario_set(scenarios):
     return scenarios if isinstance(scenarios, ScenarioSet) else ScenarioSet(scenarios)
 
 
-def _place(problem, values, weights):
+def _place(problem, values, weights, atoms):
     """ScenarioSet whose row r carries ``values[r, j]`` at the position of stochastic entry j."""
     n = len(weights)
     xi = np.repeat(problem.xi[None, :], n, axis=0)
@@ -231,7 +237,7 @@ def _place(problem, values, weights):
             xi[:, entry.row] = values[:, j]
         else:
             C[:, entry.row, entry.col] = values[:, j]
-    return ScenarioSet.from_arrays(xi, C, weights)
+    return ScenarioSet.from_arrays(xi, C, weights, atoms)
 
 
 def draw_scenarios(problem, rng, n):
@@ -239,25 +245,37 @@ def draw_scenarios(problem, rng, n):
 
     Discrete and uniform marginals map one ``rng.random((n, k))`` block through
     ``quantile``, the same stream and bits as n rows of scalar ``draw`` calls;
-    a map with any other marginal draws row by row.
+    a map with any other marginal draws row by row.  Every row is returned,
+    repeats included.  When every marginal is discrete and the support has at
+    most ``_MAX_SCENARIOS`` atoms, each row carries its atom index: the C-order
+    mixed radix of its per-entry atom indices, ``enumerate_support``'s row.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     entries = problem.stochastic_map
+    atoms = None
     if all(isinstance(e.dist, (Discrete, Uniform)) for e in entries):
         values = rng.random((n, len(entries)))
+        if problem.has_finite_support() and problem.support_size() <= _MAX_SCENARIOS:
+            atoms = np.zeros(n, dtype=np.int64)
         for j, entry in enumerate(entries):
-            values[:, j] = entry.dist.quantile(values[:, j])
+            if atoms is None:
+                values[:, j] = entry.dist.quantile(values[:, j])
+            else:
+                idx = entry.dist.index(values[:, j])
+                values[:, j] = entry.dist._values[idx]
+                atoms = atoms * len(entry.dist.values) + idx
     else:
         values = np.array([[e.dist.draw(rng) for e in entries] for _ in range(n)])
-    return _place(problem, values, np.full(n, 1.0 / n))
+    return _place(problem, values, np.full(n, 1.0 / n), atoms)
 
 
 def enumerate_support(problem):
     """Exact finite support with product weights; requires discrete marginals only.
 
-    Atoms come in ``itertools.product`` order (the last entry varies fastest).
-    A support above ``_MAX_SCENARIOS`` atoms raises before anything is allocated.
+    Atoms come in ``itertools.product`` order (the last entry varies fastest),
+    and row r carries atom index r.  A support above ``_MAX_SCENARIOS`` atoms
+    raises before anything is allocated.
     """
     if not problem.has_finite_support():
         raise ValueError("support enumeration requires finite (discrete) marginals")
@@ -269,9 +287,9 @@ def enumerate_support(problem):
     values = np.empty((size, len(entries)))
     weights = np.ones(size)
     for j, entry in enumerate(entries):
-        values[:, j] = np.asarray(entry.dist.values)[atoms[j]]
+        values[:, j] = entry.dist._values[atoms[j]]
         weights = weights * np.asarray(entry.dist.probs)[atoms[j]]
-    return _place(problem, values, weights)
+    return _place(problem, values, weights, np.arange(size))
 
 
 class ScenarioSampler:

@@ -157,11 +157,17 @@ def closed_form_multiplier(problem, scenario, x):
 class SaaFunction:
     """Sample-average objective F(x) = c(x) + sum_i w_i h(x, omega_i).
 
-    Per-scenario recourse values and subgradients are cached per evaluation
+    Draws that share an atom index (``ScenarioSet.atoms``) are one row of
+    ``scenarios``, in first-appearance order, with weight count / n over the
+    n draws; ``len(F)`` is n.  A set without an index, or whose indices are
+    all distinct (an enumerated support), is used as given.
+
+    Per-row recourse values and subgradients are cached per evaluation
     point (bounded LRU) as one array of rows [h_i | v_i], complete for the
-    first len(rows) scenarios; a grown set fills only its new rows.  Missing
-    scenarios are screened against a table of cells stacked in discovery
-    order, each an affine map of the right-hand side r:
+    first len(rows) rows; growth appends only unseen atoms, so a grown set
+    fills only its new rows.  Missing rows are screened against a table of
+    cells stacked in discovery order, each an affine map of the right-hand
+    side r:
 
     * an LP cell is a dual-feasible basis B (dual feasibility depends only on
       (d, D)); a scenario whose basic solution B^-1 r is nonnegative is
@@ -177,17 +183,21 @@ class SaaFunction:
     cell in discovery order that solves a scenario settles it.  A scenario
     outside every cell reaches ``solve_recourse``, warm-started from the last
     basis a solve returned (the phase-1 basis of a QP), and its cell joins
-    the table before the rest are screened again.  Scenario order is fixed
-    and the sums below run in it, so results are bit-reproducible.
+    the table before the rest are screened again.  The sums below run over
+    the rows in their fixed order, so results are bit-reproducible.
     """
 
     def __init__(self, problem, scenarios):
         self.problem = problem
-        self.scenarios = as_scenario_set(scenarios)
+        given = as_scenario_set(scenarios)
+        self._n, self._counts, self._row_of = 0, [], {}  # draws, per row, row of each atom
+        fresh = self._tally(given)
+        self.scenarios = given if len(fresh) == len(given) else ScenarioSet.from_arrays(
+            given.xi[fresh], given.C[fresh], np.array(self._counts) / self._n, given.atoms[fresh])
         self._cache = OrderedDict()
         self._basis_hint = None  # the last basis a scalar solve returned
         self._cells = {"tried": {}, "cells": [], "stack": ()}  # shared by siblings
-        self._shared_C = bool(np.all(self.scenarios.C == self.scenarios.C[0]))
+        self._shared_C = bool((self.scenarios.C == self.scenarios.C[0]).all())
 
     def sibling(self, scenarios):
         """Oracle over ``scenarios`` sharing this one's cell table and starting from its last basis.
@@ -200,15 +210,39 @@ class SaaFunction:
         return out
 
     def __len__(self):
-        return len(self.scenarios)
+        return self._n
+
+    def _tally(self, new):
+        """Count the draws ``new`` into the rows; the positions in ``new`` of unseen atoms.
+
+        A draw without an atom index is a row of its own.
+        """
+        counts, row_of = self._counts, self._row_of
+        self._n += len(new)
+        if new.atoms is None:
+            counts.extend([1] * len(new))
+            return np.arange(len(new))
+        fresh = []
+        for j, atom in enumerate(new.atoms.tolist()):
+            row = row_of.get(atom)
+            if row is None:
+                row_of[atom] = len(counts)
+                counts.append(1)
+                fresh.append(j)
+            else:
+                counts[row] += 1
+        return np.array(fresh, dtype=int)
 
     def extend(self, new_scenarios):
-        """Append scenarios and reset weights to uniform (i.i.d. growth only)."""
+        """Add i.i.d. draws: repeats of known atoms raise their counts, unseen atoms append rows."""
         old, new = self.scenarios, as_scenario_set(new_scenarios)
-        n = len(old) + len(new)
+        fresh = self._tally(new)
+        atoms = None if old.atoms is None or new.atoms is None else np.concatenate(
+            [old.atoms, new.atoms[fresh]])
         self.scenarios = ScenarioSet.from_arrays(
-            np.concatenate([old.xi, new.xi]), np.concatenate([old.C, new.C]), np.full(n, 1.0 / n))
-        self._shared_C = bool(np.all(self.scenarios.C == self.scenarios.C[0]))
+            np.concatenate([old.xi, new.xi[fresh]]), np.concatenate([old.C, new.C[fresh]]),
+            np.array(self._counts) / self._n, atoms)
+        self._shared_C = bool((self.scenarios.C == self.scenarios.C[0]).all())
 
     def _pool(self, key):
         """Try the cell of free set ``key``: an LP basis, or the inactive bounds of a QP.

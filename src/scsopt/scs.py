@@ -285,6 +285,7 @@ class IterationDiagnostics:
     f_before: float
     f_after: float
     accepted: bool
+    atoms: int  # rows of F_S after the iteration: its distinct atoms (``sample_size`` counts draws)
 
 
 class ScsSolver(ParamsMixin):
@@ -617,7 +618,8 @@ class ScsSolver(ParamsMixin):
             self.diagnostics_.append(IterationDiagnostics(
                 k=k, lam=lam, g_norm=float(np.linalg.norm(g_t)), dot_dg=dot_dg, d_norm=dn,
                 t_max=t_max, ls_reason=ls.reason, ls_evals=ls.n_evals, f_before=ls.f_before,
-                f_after=ls.f_before if stop else ls.f_after, accepted=accepted))
+                f_after=ls.f_before if stop else ls.f_after, accepted=accepted,
+                atoms=len(F_S.scenarios)))
             if stop:
                 status = "converged"
                 break

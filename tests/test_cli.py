@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_extensive_solver_single_row_summary(tmp_path, instance_path):
     hist = summary.histories[0]
     assert len(hist) == 1
     assert hist[0].f_S == pytest.approx(summary.f_star)
-    first = open(summary.summary_path).readline()
+    first = Path(summary.summary_path).read_text().splitlines()[0]
     assert first.startswith("# f_star=")
 
 
@@ -123,7 +124,7 @@ def test_eval_series_padding(tmp_path, instance_path):
                     params=dict(batch=2, iters=8), eval_sample_size=32,
                     replications=2, out_dir=str(tmp_path), seed=2)
     s = run_experiment(cfg, log=lambda m: None)
-    lines = open(s.summary_path).read().strip().splitlines()
+    lines = Path(s.summary_path).read_text().strip().splitlines()
     header = [ln for ln in lines if ln.startswith("k,")][0]
     assert header == "k,f_eval_mean,f_eval_lo,f_eval_hi,n_reps"
     rows = [ln for ln in lines if not ln.startswith(("#", "k,"))]

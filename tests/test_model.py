@@ -281,3 +281,36 @@ def test_draws_match_scalar_stream(seed, with_normal):
     assert got.xi.tobytes() == xi.tobytes()
     assert got.C.tobytes() == C.tobytes()
     assert got_rng.random() == ref_rng.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000))
+def test_drawn_atom_index_is_the_enumerated_row(seed):
+    rng = np.random.default_rng(seed)
+    entries = []
+    for _ in range(int(rng.integers(0, 5))):
+        k = int(rng.integers(1, 6))
+        probs = rng.uniform(0.5, 1.5, k)
+        probs /= probs.sum()
+        probs[-1] = 1.0 - probs[:-1].sum()
+        kind = "rhs" if rng.random() < 0.5 else "tech"
+        entries.append(RandomEntry(kind, int(rng.integers(2)), int(rng.integers(2)),
+                                   dist=Discrete(tuple(rng.normal(size=k)), tuple(probs))))
+    p = simple_problem(stochastic_map=entries)
+    drawn = draw_scenarios(p, substream(seed, "sample"), int(rng.integers(1, 50)))
+    support = enumerate_support(p)
+    assert support.atoms.tolist() == list(range(len(support)))
+    assert drawn.xi.tobytes() == support.xi[drawn.atoms].tobytes()
+    assert drawn.C.tobytes() == support.C[drawn.atoms].tobytes()
+
+
+def test_rows_without_an_atom_index(monkeypatch):
+    discrete = RandomEntry("rhs", 0, dist=Discrete((0.0, 1.0), (0.5, 0.5)))
+    for other in (Uniform(0.0, 1.0), Normal(0.0, 1.0)):
+        p = simple_problem(stochastic_map=[discrete, RandomEntry("rhs", 1, dist=other)])
+        assert draw_scenarios(p, substream(1, "sample"), 4).atoms is None
+    p = simple_problem(stochastic_map=[discrete, RandomEntry("rhs", 1, dist=discrete.dist)])
+    assert draw_scenarios(p, substream(1, "sample"), 4).atoms is not None
+    monkeypatch.setattr("scsopt.model._MAX_SCENARIOS", 3)  # a support of 4 atoms
+    assert draw_scenarios(p, substream(1, "sample"), 4).atoms is None
+    assert ScenarioSet([Scenario(np.zeros(2), np.zeros((2, 2)), 1.0)]).atoms is None

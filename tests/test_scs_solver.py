@@ -355,6 +355,35 @@ def test_replication_sample_is_drawn_only_past_the_radius_test(monkeypatch):
     assert len(built) == passed
 
 
+def test_sample_size_counts_draws_and_atoms_count_distinct_ones(monkeypatch):
+    """An i.i.d. fit's ``sample_size`` is the number of scenarios drawn into F_S,
+    repeats included, and ``atoms`` in its diagnostics the number of distinct ones."""
+    problem, params = _bundle_cases()["sqlp_b_iid"]
+    substream, draw = scs.substream, scs.model.draw_scenarios
+    keys, grown = {}, []
+
+    def keyed(seed, *key):
+        rng = substream(seed, *key)
+        keys[id(rng)] = key, rng
+        return rng
+
+    def logged(problem, rng, n):
+        S = draw(problem, rng, n)
+        key, _ = keys.get(id(rng), ((None,), None))
+        if key[0] == "grow":
+            grown.append((key[1], S.atoms.tolist()))
+        return S
+
+    monkeypatch.setattr(scs, "substream", keyed)
+    monkeypatch.setattr(scs.model, "draw_scenarios", logged)
+    solver = _fit(problem, params)
+    for rec, dg in zip(solver.history_, solver.diagnostics_):
+        atoms = [a for k, drawn in grown if k <= rec.k for a in drawn]
+        assert rec.sample_size == len(atoms)
+        assert dg.atoms == len(set(atoms))
+    assert solver.diagnostics_[-1].atoms < solver.history_[-1].sample_size
+
+
 @pytest.mark.parametrize("case", ["lands", "sqqp_a"])
 def test_full_support_accepts_on_the_radius_test_alone(case, monkeypatch):
     """Over the full support the replication sample would be the support itself, on
