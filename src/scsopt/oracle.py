@@ -160,14 +160,15 @@ class SaaFunction:
     Draws that share an atom index (``ScenarioSet.atoms``) are one row of
     ``scenarios``, in first-appearance order, with weight count / n over the
     n draws; ``len(F)`` is n.  A set without an index, or whose indices are
-    all distinct (an enumerated support), is used as given.
+    all distinct (an enumerated support), is used as given.  An oracle's
+    sample never changes: a grown sample is a new oracle over all its draws
+    (``sibling``), which keeps the cell table and the last basis.
 
     Per-row recourse values and subgradients are cached per evaluation
-    point (bounded LRU) as one array of rows [h_i | v_i], complete for the
-    first len(rows) rows; growth appends only unseen atoms, so a grown set
-    fills only its new rows.  Missing rows are screened against a table of
-    cells stacked in discovery order, each an affine map of the right-hand
-    side r:
+    point (bounded LRU) as one array of rows [h_i | v_i], filled whole the
+    first time a point is asked for.  The rows are screened against a table
+    of cells stacked in discovery order, each an affine map of the
+    right-hand side r:
 
     * an LP cell is a dual-feasible basis B (dual feasibility depends only on
       (d, D)); a scenario whose basic solution B^-1 r is nonnegative is
@@ -190,10 +191,20 @@ class SaaFunction:
     def __init__(self, problem, scenarios):
         self.problem = problem
         given = as_scenario_set(scenarios)
-        self._n, self._counts, self._row_of = 0, [], {}  # draws, per row, row of each atom
-        fresh = self._tally(given)
-        self.scenarios = given if len(fresh) == len(given) else ScenarioSet.from_arrays(
-            given.xi[fresh], given.C[fresh], np.array(self._counts) / self._n, given.atoms[fresh])
+        self._n = len(given)
+        self.scenarios, self._first = given, range(self._n)  # row i first appears at draw _first[i]
+        if given.atoms is not None:
+            first, count = {}, {}  # per atom, in first-appearance order
+            for j, atom in enumerate(given.atoms.tolist()):
+                if atom in first:
+                    count[atom] += 1
+                else:
+                    first[atom], count[atom] = j, 1
+            if len(first) < self._n:
+                self._first = rows = np.fromiter(first.values(), int)
+                weights = np.fromiter(count.values(), float) / self._n
+                self.scenarios = ScenarioSet.from_arrays(given.xi[rows], given.C[rows], weights,
+                                                         given.atoms[rows])
         self._cache = OrderedDict()
         self._basis_hint = None  # the last basis a scalar solve returned
         self._cells = {"tried": {}, "cells": [], "stack": ()}  # shared by siblings
@@ -202,8 +213,9 @@ class SaaFunction:
     def sibling(self, scenarios):
         """Oracle over ``scenarios`` sharing this one's cell table and starting from its last basis.
 
-        For sample sets of the same problem, e.g. the growing set and the
-        replication sets drawn against it.
+        For sample sets of the same problem, e.g. a grown sample, which holds
+        the draws so far and the new ones, and the replication sets drawn
+        against it.
         """
         out = SaaFunction(self.problem, scenarios)
         out._cells, out._basis_hint = self._cells, self._basis_hint
@@ -211,38 +223,6 @@ class SaaFunction:
 
     def __len__(self):
         return self._n
-
-    def _tally(self, new):
-        """Count the draws ``new`` into the rows; the positions in ``new`` of unseen atoms.
-
-        A draw without an atom index is a row of its own.
-        """
-        counts, row_of = self._counts, self._row_of
-        self._n += len(new)
-        if new.atoms is None:
-            counts.extend([1] * len(new))
-            return np.arange(len(new))
-        fresh = []
-        for j, atom in enumerate(new.atoms.tolist()):
-            row = row_of.get(atom)
-            if row is None:
-                row_of[atom] = len(counts)
-                counts.append(1)
-                fresh.append(j)
-            else:
-                counts[row] += 1
-        return np.array(fresh, dtype=int)
-
-    def extend(self, new_scenarios):
-        """Add i.i.d. draws: repeats of known atoms raise their counts, unseen atoms append rows."""
-        old, new = self.scenarios, as_scenario_set(new_scenarios)
-        fresh = self._tally(new)
-        atoms = None if old.atoms is None or new.atoms is None else np.concatenate(
-            [old.atoms, new.atoms[fresh]])
-        self.scenarios = ScenarioSet.from_arrays(
-            np.concatenate([old.xi, new.xi[fresh]]), np.concatenate([old.C, new.C[fresh]]),
-            np.array(self._counts) / self._n, atoms)
-        self._shared_C = bool((self.scenarios.C == self.scenarios.C[0]).all())
 
     def _pool(self, key):
         """Try the cell of free set ``key``: an LP basis, or the inactive bounds of a QP.
@@ -320,29 +300,27 @@ class SaaFunction:
     def _solutions(self, x):
         """N x (1 + n1) array whose row i is [h_i | v_i] at x."""
         key = x.tobytes()
-        n = len(self.scenarios)
-        rows = self._cache.pop(key, np.empty((0, 1 + self.problem.n1)))
-        done = len(rows)
-        if done < n:  # a new point, or the set grew since x was cached
-            rows = np.vstack([rows, np.empty((n - done, rows.shape[1]))])
-            self._fill(x, np.arange(done, n), rows)
+        rows = self._cache.pop(key, None)
+        if rows is None:
+            rows = self._fill(x)
         self._cache[key] = rows
         while len(self._cache) > _CACHE_LIMIT:
             self._cache.popitem(last=False)
         return rows
 
-    def _fill(self, x, missing, rows):
-        """Write the rows of the scenarios ``missing``: screen, solve one, pool its cell, repeat.
+    def _fill(self, x):
+        """The rows at x: screen every scenario, solve one, pool its cell, repeat.
 
-        The missing right-hand sides, one column each (one product with C_0
-        when C is shared), are screened against every stacked cell.  While
-        scenarios remain, the first is solved warm-started from the last
-        basis, its cell joins the table, and the rest are screened against
-        the cells added since the last pass.
+        The right-hand sides, one column each (one product with C_0 when C is
+        shared), are screened against every stacked cell.  While scenarios
+        remain, the first is solved warm-started from the last basis, its
+        cell joins the table, and the rest are screened against the cells
+        added since the last pass.
         """
         S, cells = self.scenarios, self._cells["cells"]
-        R = (np.subtract(S.xi[missing].T, (S.C[0] @ x)[:, None], order="C") if self._shared_C
-             else np.ascontiguousarray((S.xi[missing] - S.C[missing] @ x).T))
+        rows, missing = np.empty((len(S), 1 + self.problem.n1)), np.arange(len(S))
+        R = (np.subtract(S.xi.T, (S.C[0] @ x)[:, None], order="C") if self._shared_C
+             else np.ascontiguousarray((S.xi - S.C @ x).T))
         screened = 0
         while missing.size:
             if len(cells) > screened:
@@ -352,17 +330,19 @@ class SaaFunction:
                 rows[idx, 1:] = -(pi @ S.C[0]) if self._shared_C else -np.einsum("imn,im->in", S.C[idx], pi)
                 missing, R = missing[~hit], R[:, ~hit]
                 if not missing.size:
-                    return
+                    break
             screened = len(cells)
             i = int(missing[0])
             s = S[i]
-            sol = require_optimal(solve_recourse(self.problem, s, x, basis=self._basis_hint), i)
+            sol = require_optimal(solve_recourse(self.problem, s, x, basis=self._basis_hint),
+                                 int(self._first[i]))
             rows[i, 0] = sol.h
             rows[i, 1:] = -s.C.T @ sol.pi
             self._basis_hint = sol.basis
             free = sol.basis if sol.working_set is None else np.flatnonzero(~sol.working_set)
             self._pool(tuple(free.tolist()))
             missing, R = missing[1:], R[:, 1:]
+        return rows
 
     def _value(self, x, rows):
         h = np.ascontiguousarray(rows[:, 0])

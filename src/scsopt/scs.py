@@ -272,6 +272,14 @@ def _face_rows(problem, active):
     return np.vstack([problem.A, np.eye(problem.n1)[idx]]), idx
 
 
+def _joined(S, more):
+    """The i.i.d. draws of S followed by those of ``more``, each weighted 1/n."""
+    n = len(S) + len(more)
+    atoms = None if S.atoms is None else np.concatenate([S.atoms, more.atoms])
+    return model.ScenarioSet.from_arrays(np.concatenate([S.xi, more.xi]),
+                                         np.concatenate([S.C, more.C]), np.full(n, 1.0 / n), atoms)
+
+
 @dataclass
 class IterationDiagnostics:
     k: int
@@ -315,8 +323,9 @@ class ScsSolver(ParamsMixin):
     sampling : "iid" grows a cumulative i.i.d. sample per the schedule;
         "full" uses the exact finite support (requires discrete marginals).
     tau : activation thickness for the lower bounds, relative to the scale
-        of the starting point: an incumbent within tau of a bound that the
-        direction pushes into is treated as sitting on it.
+        of the starting point: every finite bound the incumbent lies within
+        tau * (1 + max|x0|) of is treated as active, whatever the direction,
+        and the incumbent is projected onto it.
     eval_fn : optional callable x -> float logged as the held-out estimate.
     eval_every : log eval_fn every this many iterations (always at the end).
     track_trials : record every line-search trial point (feasibility audits).
@@ -590,8 +599,9 @@ class ScsSolver(ParamsMixin):
                     target = sample_size(self.kappa_eps, spread, self.kappa_, delta,
                                          self.max_sample)
                     if target > len(F_S):
-                        F_S.extend(model.draw_scenarios(
+                        S = _joined(S, model.draw_scenarios(
                             problem, substream(self.seed, "grow", k), target - len(F_S)))
+                        F_S = F_S.sibling(S)
                 if ls.success and dn > self.eta2 * delta:
                     accepted = self.sampling == "full" or acceptance_test(
                         F_S, F_S.sibling(model.draw_scenarios(

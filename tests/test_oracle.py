@@ -23,7 +23,7 @@ from scsopt.oracle import (
 )
 from scsopt.rng import substream
 from scsopt.model import draw_scenarios
-from scsopt.scs import ScsSolver
+from scsopt.scs import ScsSolver, _joined
 
 
 def lp_problem(**kw):
@@ -219,6 +219,18 @@ class TestSaaFunction:
             F.value(np.array([1.0]))
         assert err.value.scenario_index == 1
 
+    def test_infeasible_merged_draw_reported_with_its_first_position(self):
+        # xi = 0 leaves Dy = -1 with y >= 0: the draws merge into rows
+        # (xi = 5, xi = 0), and the second row first appears at draw 3.
+        p = lp_problem(stochastic_map=[RandomEntry("rhs", 0, dist=Discrete((0.0, 5.0), (0.5, 0.5)))])
+        S = draw_scenarios(p, substream(11, "sample"), 8)
+        assert S.xi[:, 0].tolist() == [5.0, 5.0, 5.0, 0.0, 5.0, 0.0, 0.0, 5.0]
+        F = SaaFunction(p, S)
+        assert len(F.scenarios) == 2
+        with pytest.raises(RecourseInfeasible) as err:
+            F.value(np.array([1.0]))
+        assert err.value.scenario_index == 3
+
     def test_monotone_concentration_median(self):
         rng = np.random.default_rng(9)
         p = complete_recourse_problem(rng)
@@ -252,16 +264,18 @@ def assert_matches_per_scenario_solves(seed, tech, quadratic):
             np.testing.assert_allclose(G.subgrad(x), want_g, rtol=1e-10, atol=1e-12)
 
 
-def assert_extend_matches_fresh_set(seed, tech, quadratic):
+def assert_grown_sibling_matches_fresh_set(seed, tech, quadratic):
+    """A sample grown the way ``ScsSolver.fit`` grows it: a sibling over the draws
+    so far and the new ones, built after the old oracle cached points."""
     p = random_problem(seed, tech, quadratic)
     rng = np.random.default_rng(seed + 2)
     first = draw_scenarios(p, substream(seed, "grow", 0), int(rng.integers(1, 20)))
     more = draw_scenarios(p, substream(seed, "grow", 1), int(rng.integers(1, 20)))
-    F = SaaFunction(p, first)
+    old = SaaFunction(p, first)
     xs = [rng.normal(size=p.n1) for _ in range(3)]
     for x in xs:
-        F.value_and_subgrad(x)
-    F.extend(more)
+        old.value_and_subgrad(x)
+    F = old.sibling(_joined(first, more))
     n = len(first) + len(more)
     fresh = SaaFunction(p, ScenarioSet.from_arrays(
         np.concatenate([first.xi, more.xi]), np.concatenate([first.C, more.C]),
@@ -284,8 +298,8 @@ class TestSaaDifferential:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000), st.booleans())
-    def test_extend_after_cached_evaluations_matches_fresh_set(self, seed, tech):
-        assert_extend_matches_fresh_set(seed, tech, quadratic=False)
+    def test_grown_sibling_after_cached_evaluations_matches_fresh_set(self, seed, tech):
+        assert_grown_sibling_matches_fresh_set(seed, tech, quadratic=False)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100_000), st.booleans())
@@ -294,8 +308,8 @@ class TestSaaDifferential:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000), st.booleans())
-    def test_qp_extend_after_cached_evaluations_matches_fresh_set(self, seed, tech):
-        assert_extend_matches_fresh_set(seed, tech, quadratic=True)
+    def test_qp_grown_sibling_after_cached_evaluations_matches_fresh_set(self, seed, tech):
+        assert_grown_sibling_matches_fresh_set(seed, tech, quadratic=True)
 
     @pytest.mark.parametrize("quadratic", [False, True])
     def test_nearby_point_needs_no_scalar_solve(self, monkeypatch, quadratic):
@@ -436,7 +450,8 @@ class TestMergedAtoms:
         p = discrete_problem(seed, tech, quadratic)
         rng = np.random.default_rng(seed + 4)
         drawn = [draw_scenarios(p, substream(seed, "grow", 0), int(rng.integers(4, 40)))]
-        F, ref = SaaFunction(p, drawn[0]), SaaFunction(p, per_draw(drawn[0]))
+        S = drawn[0]
+        F, ref = SaaFunction(p, S), SaaFunction(p, per_draw(S))
         pairs = [(F, ref)]
         xs = [rng.normal(size=p.n1) for _ in range(3)]
 
@@ -449,13 +464,14 @@ class TestMergedAtoms:
             for x in xs:  # rows cached at xs before each growth
                 compare(x)
             drawn.append(draw_scenarios(p, substream(seed, "grow", k), int(rng.integers(1, 40))))
-            F.extend(drawn[-1])
-            ref.extend(per_draw(drawn[-1]))
+            S = _joined(S, drawn[-1])
+            F, ref = F.sibling(S), ref.sibling(per_draw(S))
             test = draw_scenarios(p, substream(seed, "test_set", k), len(F))
-            pairs.append((F.sibling(test), ref.sibling(per_draw(test))))
-        atoms = np.concatenate([S.atoms for S in drawn]).tolist()
+            pairs += [(F, ref), (F.sibling(test), ref.sibling(per_draw(test)))]
+        atoms = np.concatenate([D.atoms for D in drawn]).tolist()
         assert len(F) == len(ref) == len(ref.scenarios) == len(atoms)
         assert F.scenarios.atoms.tolist() == list(dict.fromkeys(atoms))
+        pairs.append((F, SaaFunction(p, per_draw(S))))  # the grown oracle against a fresh one
         for x in xs + [rng.normal(size=p.n1)]:
             compare(x)
 
@@ -464,11 +480,15 @@ class TestMergedAtoms:
         first, more = (draw_scenarios(p, substream(5, "grow", k), n) for k, n in ((0, 40), (1, 60)))
         F = SaaFunction(p, first)
         F.value(np.zeros(p.n1))
-        F.extend(more)
+        F = F.sibling(_joined(first, more))
         atoms = first.atoms.tolist() + more.atoms.tolist()
         distinct = list(dict.fromkeys(atoms))
         assert len(F) == 100 and len(F.scenarios) == len(distinct) < 100
         assert F.scenarios.weights.tolist() == [atoms.count(a) / 100 for a in distinct]
+        fresh = SaaFunction(p, per_draw(_joined(first, more)))
+        for x in (np.zeros(p.n1), np.ones(p.n1)):
+            np.testing.assert_allclose(F.value(x), fresh.value(x), rtol=1e-12)
+            np.testing.assert_allclose(F.subgrad(x), fresh.subgrad(x), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["enumerated", "uniform"])
     def test_sets_without_repeats_are_used_as_given(self, kind):

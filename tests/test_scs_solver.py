@@ -337,12 +337,15 @@ def test_trials_with_a_large_linearization_error_are_dropped(alpha, fires, monke
 def test_replication_sample_is_drawn_only_past_the_radius_test(monkeypatch):
     """The i.i.d. replication oracle (one ``sibling`` call) is built exactly at the
     iterations whose search succeeded and whose direction norm clears eta2 times the
-    radius in force there: the delta of the previous record, delta0 at k = 1."""
+    radius in force there: the delta of the previous record, delta0 at k = 1.  A
+    replication sample has as many draws as F_S; a grown F_S, also a sibling, has
+    more than the oracle it replaces."""
     problem, params = _bundle_cases()["sqlp_b_iid"]
     sibling, built = SaaFunction.sibling, []
 
     def counted(self, scenarios):
-        built.append(len(scenarios))
+        if len(scenarios) == len(self):
+            built.append(len(scenarios))
         return sibling(self, scenarios)
 
     monkeypatch.setattr(SaaFunction, "sibling", counted)
@@ -353,6 +356,29 @@ def test_replication_sample_is_drawn_only_past_the_radius_test(monkeypatch):
     passed = sum(d_norm > solver.eta2 * delta for d_norm, delta in found)
     assert passed < len(found)  # some successful search fails the radius test
     assert len(built) == passed
+
+
+def test_zero_cap_rejects_the_iteration_and_the_fit_still_stops_by_a_norm_rule(monkeypatch):
+    """When ``step_cap`` finds no positive step, the iteration records a zero cap,
+    runs no line search, is rejected with the radius shrunk, and the fit goes on."""
+    problem, params = _bundle_cases()["sqlp_b_iid"]
+    step_cap, calls = scs.step_cap, []
+
+    def third_call_zero(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise scs.ZeroCap("no strictly positive feasible step along the direction")
+        return step_cap(*args)
+
+    monkeypatch.setattr(scs, "step_cap", third_call_zero)
+    solver = _fit(problem, params)
+    k = next(d.k for d in solver.diagnostics_ if d.ls_reason == "zero_cap")
+    prev, rec, dg = solver.history_[k - 2], solver.history_[k - 1], solver.diagnostics_[k - 1]
+    assert len(calls) > 3 and dg.t_max == 0.0 and dg.ls_evals == 0
+    assert not rec.accepted and rec.delta == prev.delta / solver.gamma
+    assert [d.k for d in solver.diagnostics_ if d.ls_reason == "zero_cap"] == [k]
+    assert solver.status_ == "converged"
+    assert solver.diagnostics_[-1].ls_reason in ("terminated", "certified")
 
 
 def test_sample_size_counts_draws_and_atoms_count_distinct_ones(monkeypatch):
