@@ -10,9 +10,11 @@ program  min { g(y) : Dy = xi(omega) - C(omega) x, y >= 0 }  with g linear
 entries of the right-hand side xi and of the technology matrix C, described
 by independent marginals in ``stochastic_map``.
 
-The module also builds the deterministic equivalent over a finite scenario
-set (the brute-force ground-truth oracle used throughout the test suite)
-and evaluates exact objectives over finite supports.
+The module also solves the deterministic equivalent over a finite scenario
+set (the ground-truth oracle used throughout the test suite): an LP by
+multi-cut decomposition over the SAA oracle's rows, a QP by the dense
+active-set solve of the block-structured form.  It also evaluates exact
+objectives over finite supports.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import linalg, qpsolve, simplex
 from .base import as_lower_bounds, as_matrix, as_vector
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, InfeasibleRegion, RecourseInfeasible
 from .rng import substream
 
 _MAX_SCENARIOS = 1_000_000  # largest support enumerate_support builds
@@ -322,67 +324,118 @@ class ExtensiveSolution:
 
 
 class DeterministicProgram:
-    """Block-structured deterministic equivalent over a finite scenario set.
+    """Deterministic equivalent over a finite scenario set.
 
-    Variables are [x, y_1, ..., y_N]; the objective is
-    1/2 x'Qx + c'x + sum_i w_i g(y_i) subject to Ax = b and
-    C_i x + D y_i = xi_i, y_i >= 0 (plus x >= lb when bounds are present).
+    The program is  min 1/2 x'Qx + c'x + sum_i w_i g(y_i)  over [x, y_1, ..., y_N]
+    subject to Ax = b and C_i x + D y_i = xi_i, y_i >= 0 (plus x >= lb when
+    bounds are present).
+
+    A linear program (Q = 0 and linear recourse) is solved by multi-cut
+    decomposition (Van Slyke and Wets, 1969; Birge and Louveaux, 1988).  The
+    master has variables [x, theta_1..theta_N, cut slacks] and rows Ax = b
+    plus one row  theta_s - v'x - s = h - v'x_k  per cut, where [h | v] is
+    scenario s's row of a ``SaaFunction`` over the set at x_k.  The first
+    cuts are taken at ``initial_feasible_point``; each round appends the cuts
+    that the master point violates, and the new slacks join the last basis,
+    which stays dual feasible, so the dual simplex goes on from it.  With no
+    cut violated, the value is F(x) at the master's x.  A master that is not
+    optimal (unbounded, as with a free first stage), a recourse infeasible
+    at the start or at a master point, an empty first stage or a round that
+    would add no new cut hands the program to the dense solve.
+
+    A quadratic program, and every hand-off, is solved whole in the
+    block-structured form: the revised simplex for an LP, the active-set
+    solve for a QP.
     """
 
     def __init__(self, problem, scenarios):
         scenarios = as_scenario_set(scenarios)
-        n1, n2 = problem.n1, problem.n2
-        m1, m2 = problem.m1, problem.m2
-        N = len(scenarios)
-        if scenarios.xi.shape[1:] != (m2,) or scenarios.C.shape[1:] != (m2, n1):
+        if scenarios.xi.shape[1:] != (problem.m2,) or scenarios.C.shape[1:] != (problem.m2, problem.n1):
             raise DimensionMismatch("scenario shapes do not match the problem")
-        nv = n1 + N * n2
-        A_eq = np.zeros((m1 + N * m2, nv))
-        b_eq = np.zeros(m1 + N * m2)
-        A_eq[:m1, :n1] = problem.A
-        b_eq[:m1] = problem.b
-        A_eq[m1:, :n1] = scenarios.C.reshape(N * m2, n1)
-        b_eq[m1:] = scenarios.xi.reshape(N * m2)
-        lin = np.zeros(nv)
-        lin[:n1] = problem.c
-        lin[n1:] = (scenarios.weights[:, None] * problem.d).reshape(N * n2)
-        lb = np.full(nv, -np.inf)
-        if problem.lower_bounds is not None:
-            lb[:n1] = problem.lower_bounds
-        lb[n1:] = 0.0
-        for i in range(N):
-            A_eq[m1 + i * m2:m1 + (i + 1) * m2, n1 + i * n2:n1 + (i + 1) * n2] = problem.D
         self.problem = problem
         self.scenarios = scenarios
-        self.A_eq = A_eq
-        self.b_eq = b_eq
-        self.lin = lin
-        self.lb = lb
-        self.n1 = n1
-        self.n2 = n2
         self.is_lp = (not problem.quadratic_recourse) and np.abs(problem.Q).max(initial=0.0) == 0.0
 
-    def hessian(self):
-        n1, n2 = self.n1, self.n2
-        nv = self.lin.size
-        H = np.zeros((nv, nv))
-        H[:n1, :n1] = self.problem.Q
-        if self.problem.quadratic_recourse:
-            for i, w in enumerate(self.scenarios.weights):
-                c0 = n1 + i * n2
-                H[c0:c0 + n2, c0:c0 + n2] = w * self.problem.P
-        return H
-
     def solve(self):
+        sol = self._decomposed_solve() if self.is_lp else None
+        return self._dense_solve() if sol is None else sol
+
+    def _decomposed_solve(self):
+        """The multi-cut solution, or None where the dense solve must decide."""
+        from . import oracle
+
+        p = self.problem
+        F = oracle.SaaFunction(p, self.scenarios)
+        w = F.scenarios.weights
+        N, n1 = w.size, p.n1
+        lb = np.concatenate([np.full(n1, -np.inf) if p.lower_bounds is None else p.lower_bounds,
+                             np.full(N, -np.inf)])
+        try:
+            x = initial_feasible_point(p)
+            rows = F._solutions(x)
+        except (InfeasibleRegion, RecourseInfeasible):
+            return None
+        cuts, seen, new, res = np.empty((0, n1 + N + 1)), set(), np.arange(N), None
+        while True:
+            block = np.zeros((new.size, n1 + N + 1))  # [-v | e_s | h - v'x] per violated scenario s
+            block[:, :n1] = -rows[new, 1:]
+            block[np.arange(new.size), n1 + new] = 1.0
+            block[:, -1] = rows[new, 0] - rows[new, 1:] @ x
+            keys = {row.tobytes() for row in block}
+            if keys <= seen:
+                return None
+            seen |= keys
+            cuts = np.vstack([cuts, block])
+            K = len(cuts)
+            M = np.zeros((p.m1 + K, n1 + N + K))
+            M[:p.m1, :n1] = p.A
+            M[p.m1:, :n1 + N] = cuts[:, :-1]
+            M[p.m1:, n1 + N:] = -np.eye(K)
+            b = np.concatenate([p.b, cuts[:, -1]])
+            basis = None if res is None else np.concatenate([res.basis, res.x.size + np.arange(new.size)])
+            res, v = simplex.solve_lp_bounded(np.concatenate([p.c, w, np.zeros(K)]), M, b,
+                                              np.concatenate([lb, np.zeros(K)]), basis=basis)
+            if v is None:
+                return None
+            x, theta = v[:n1], v[n1:n1 + N]
+            try:
+                rows = F._solutions(x)
+            except RecourseInfeasible:
+                return None
+            # violated beyond the feasibility tolerance the dual simplex keeps on the master's rows
+            new = np.flatnonzero(rows[:, 0] > theta + simplex._TOL * (1.0 + np.abs(b).max()))
+            if not new.size:
+                return ExtensiveSolution(status="optimal", value=F.value(x), x=x)
+
+    def _dense_solve(self):
+        """Solve the block-structured program whole."""
+        p, S = self.problem, self.scenarios
+        n1, n2, m1, m2, N = p.n1, p.n2, p.m1, p.m2, len(S)
+        nv = n1 + N * n2
+        A_eq = np.zeros((m1 + N * m2, nv))
+        A_eq[:m1, :n1] = p.A
+        A_eq[m1:, :n1] = S.C.reshape(N * m2, n1)
+        for i in range(N):
+            A_eq[m1 + i * m2:m1 + (i + 1) * m2, n1 + i * n2:n1 + (i + 1) * n2] = p.D
+        b_eq = np.concatenate([p.b, S.xi.reshape(N * m2)])
+        lin = np.concatenate([p.c, (S.weights[:, None] * p.d).reshape(N * n2)])
+        lb = np.zeros(nv)
+        lb[:n1] = -np.inf if p.lower_bounds is None else p.lower_bounds
         if self.is_lp:
-            res, v = simplex.solve_lp_bounded(self.lin, self.A_eq, self.b_eq, self.lb)
-            status, value = res.status, None if v is None else self.lin @ v
+            res, v = simplex.solve_lp_bounded(lin, A_eq, b_eq, lb)
+            status, value = res.status, None if v is None else lin @ v
         else:
-            res = qpsolve.solve_qp(self.hessian(), self.lin, self.A_eq, self.b_eq, lb=self.lb)
+            H = np.zeros((nv, nv))
+            H[:n1, :n1] = p.Q
+            if p.quadratic_recourse:
+                for i, w in enumerate(S.weights):
+                    c0 = n1 + i * n2
+                    H[c0:c0 + n2, c0:c0 + n2] = w * p.P
+            res = qpsolve.solve_qp(H, lin, A_eq, b_eq, lb=lb)
             status, value, v = res.status, res.obj, res.x
         if status != "optimal":
             return ExtensiveSolution(status=status, value=np.nan, x=None)
-        return ExtensiveSolution(status="optimal", value=float(value), x=v[:self.n1])
+        return ExtensiveSolution(status="optimal", value=float(value), x=v[:n1])
 
 
 def extensive_form(problem, scenarios):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from instances import make_two_stage
-from scsopt import cli
+from scsopt import cli, simplex
 from scsopt.cli import RunConfig, compare, load_instance, main, parse_config_file, run_experiment
 from scsopt.exceptions import MismatchedInstances, UnsupportedSolverForInstance
-from scsopt.model import Discrete, RandomEntry, TwoStageProblem
+from scsopt.model import DeterministicProgram, Discrete, RandomEntry, TwoStageProblem, enumerate_support, extensive_form
 from scsopt.native import write_native
 from scsopt.records import read_history_csv, write_history_csv
 
@@ -63,6 +63,25 @@ def test_extensive_solver_single_row_summary(tmp_path, instance_path):
     assert hist[0].f_S == pytest.approx(summary.f_star)
     first = Path(summary.summary_path).read_text().splitlines()[0]
     assert first.startswith("# f_star=")
+
+
+def test_lands_extensive_optimum_by_cuts_equals_the_dense_one(tmp_path, monkeypatch):
+    problem, _ = load_instance("instances/lands_toy.cor")
+    prog = extensive_form(problem, enumerate_support(problem))
+    rows, lp = [], simplex.solve_lp_bounded
+    monkeypatch.setattr(simplex, "solve_lp_bounded", lambda c, A, *a, **k: rows.append(len(A)) or lp(c, A, *a, **k))
+    sol = prog.solve()
+    assert rows and max(rows) < len(prog.scenarios) * problem.m2  # no dense extensive form
+    assert sol.value == prog._dense_solve().value
+
+    def summary(tag):
+        cfg = RunConfig(instance="instances/lands_toy.cor", solver="extensive", out_dir=str(tmp_path / tag))
+        return Path(run_experiment(cfg, log=lambda m: None).summary_path).read_bytes()
+
+    by_cuts = summary("cuts")
+    monkeypatch.setattr(DeterministicProgram, "solve", DeterministicProgram._dense_solve)
+    assert summary("dense") == by_cuts
+    assert by_cuts.startswith(b"# f_star=202.85399999999998\n")
 
 
 def test_extensive_rejects_infinite_support(tmp_path):

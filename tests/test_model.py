@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from scsopt.exceptions import DimensionMismatch, InfeasibleRegion
 from scsopt.model import (
+    DeterministicProgram,
     Discrete,
     Normal,
     RandomEntry,
@@ -314,3 +317,55 @@ def test_rows_without_an_atom_index(monkeypatch):
     monkeypatch.setattr("scsopt.model._MAX_SCENARIOS", 3)  # a support of 4 atoms
     assert draw_scenarios(p, substream(1, "sample"), 4).atoms is None
     assert ScenarioSet([Scenario(np.zeros(2), np.zeros((2, 2)), 1.0)]).atoms is None
+
+
+def random_lp(seed, case):
+    """A random LP two-stage program on the simplex {sum x = 1} with discrete right-hand sides.
+
+    ``case`` "bounded" has x >= 0 and complete recourse; "free" drops the
+    bounds; "infeasible" makes the recourse y = xi - Cx >= 0, which one atom
+    of xi_0 violates at the start point x0 = 1/n1.
+    """
+    rng = np.random.default_rng(seed)
+    n1, m2 = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    C = rng.normal(size=(m2, n1))
+    if case == "infeasible":
+        D, d = np.eye(m2), rng.uniform(0.5, 2.0, m2)
+        xi = C @ np.full(n1, 1.0 / n1) + rng.uniform(0.5, 1.0, m2)
+        shifts = (-1.0, float(rng.uniform()))
+    else:
+        D, d = np.hstack([np.eye(m2), -np.eye(m2)]), rng.uniform(0.5, 2.0, 2 * m2)
+        xi = rng.normal(size=m2)
+        shifts = tuple(rng.normal(size=2))
+    entries = [RandomEntry("rhs", 0, dist=Discrete(tuple(xi[0] + np.array(shifts)), (0.5, 0.5)))]
+    for row in range(1, m2):
+        k = int(rng.integers(1, 4))
+        entries.append(RandomEntry("rhs", row, dist=Discrete(tuple(xi[row] + rng.normal(size=k)), (1.0 / k,) * k)))
+    if rng.random() < 0.5:
+        entries.append(RandomEntry("tech", m2 - 1, int(rng.integers(n1)),
+                                   dist=Discrete(tuple(rng.normal(size=2)), (0.5, 0.5))))
+    return TwoStageProblem(Q=np.zeros((n1, n1)), c=rng.normal(size=n1), A=np.ones((1, n1)), b=[1.0],
+                           D=D, d=d, xi=xi, C=C, stochastic_map=entries,
+                           lower_bounds=None if case == "free" else np.zeros(n1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 100_000), st.sampled_from(["bounded", "free", "infeasible"]))
+def test_decomposed_solve_matches_the_dense_solve(seed, case):
+    p = random_lp(seed, case)
+    prog = extensive_form(p, enumerate_support(p))
+    ref = prog._dense_solve()
+    with mock.patch.object(DeterministicProgram, "_dense_solve", autospec=True,
+                           side_effect=DeterministicProgram._dense_solve) as dense:
+        sol = prog.solve()
+    # a free first stage leaves the first master unbounded, and the recourse
+    # is infeasible at the start point: both hand the program to the dense solve
+    assert dense.call_count == (case != "bounded")
+    assert sol.status == ref.status
+    if case == "bounded":
+        assert sol.status == "optimal"
+        assert abs(sol.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
+        assert np.abs(p.A @ sol.x - p.b).max() <= 1e-9
+        assert sol.x.min() >= -1e-9
+    elif sol.status == "optimal":
+        assert sol.value == ref.value
