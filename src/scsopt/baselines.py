@@ -19,10 +19,8 @@ from .rng import substream
 class _BaselineSolver(ParamsMixin):
     averaging_default = "last"
 
-    def __init__(self, step_rule="inv_sqrt", c=None, G_bound=1.0, batch=8,
-                 iters=200, seed=0, averaging=None, eval_fn=None, eval_every=1,
-                 record_wall_time=True):
-        self.step_rule = step_rule
+    def __init__(self, c=None, G_bound=1.0, batch=8, iters=200, seed=0, averaging=None,
+                 eval_fn=None, eval_every=1, record_wall_time=True):
         self.c = c
         self.G_bound = G_bound
         self.batch = batch
@@ -34,8 +32,6 @@ class _BaselineSolver(ParamsMixin):
         self.record_wall_time = record_wall_time
 
     def _validate(self):
-        if self.step_rule not in ("constant", "inv_sqrt"):
-            raise ValueError("step_rule must be 'constant' or 'inv_sqrt'")
         if self.c is not None and not self.c > 0.0:
             raise ValueError("c must be positive")
         if not self.G_bound > 0.0:
@@ -58,7 +54,7 @@ class _BaselineSolver(ParamsMixin):
             batch = model.draw_scenarios(problem, substream(self.seed, "batch", k), self.batch)
             F = oracle.SaaFunction(problem, batch) if k == 1 else F.sibling(batch)
             g = F.subgrad(x)
-            alpha = base if self.step_rule == "constant" else base / np.sqrt(k)
+            alpha = base / np.sqrt(k)
             x = linalg.project_polyhedral(problem.A, problem.b, lb, x - alpha * g)
             x_sum += x
             rep = x_sum / (k + 1) if averaging == "uniform" else x
@@ -79,9 +75,9 @@ class _BaselineSolver(ParamsMixin):
 class SgdSolver(_BaselineSolver):
     """Projected stochastic subgradient descent: x <- proj(x - alpha_k g_k).
 
-    alpha_k is ``c`` (constant) or ``c / sqrt(k)``; when c is None it is set
-    from a pilot estimate of domain radius over subgradient norm.  g_k is a
-    batch sample-average subgradient; proj is the Euclidean projection onto
+    alpha_k is ``c / sqrt(k)``; when c is None, c is set from a pilot
+    estimate of domain radius over subgradient norm.  g_k is a batch
+    sample-average subgradient; proj is the Euclidean projection onto
     {Ax = b} intersected with the lower bounds when present.
     """
 

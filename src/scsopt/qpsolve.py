@@ -38,33 +38,22 @@ class QpResult:
 
 
 def _null_basis(M):
-    """Orthonormal basis of null(M) for a possibly empty or rank-deficient M."""
-    m, n = M.shape
-    if m == 0:
-        return np.eye(n)
+    """Orthonormal basis of null(M) for a possibly rank-deficient M."""
     _, sig, Vt = np.linalg.svd(M)
     smax = sig[0] if sig.size else 0.0
     rank = int(np.sum(sig > 1e-11 * max(smax, 1.0)))
     return Vt[rank:].T.copy()
 
 
-def solve_qp(H, g, A, b, lb=None, phase1_basis=None):
+def solve_qp(H, g, A, b, lb, phase1_basis=None):
+    """QpResult for min 1/2 x'Hx + g'x s.t. Ax = b, x >= lb, A 2-D; lb entries may be -inf."""
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
     n = g.size
-    if A is None or np.size(A) == 0:
-        A = np.zeros((0, n))
-        b = np.zeros(0)
-    else:
-        A = np.asarray(A, dtype=float)
-        if A.ndim == 1:
-            A = A.reshape(1, -1)
-        b = np.asarray(b, dtype=float).reshape(-1)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(-1)
     m = A.shape[0]
-    if lb is None:
-        lb = np.full(n, -np.inf)
-    else:
-        lb = np.asarray(lb, dtype=float).reshape(-1)
+    lb = np.asarray(lb, dtype=float).reshape(-1)
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(lb[np.isfinite(lb)]).max(initial=0.0))
 
@@ -142,11 +131,8 @@ def solve_qp(H, g, A, b, lb=None, phase1_basis=None):
 
 def _multipliers(H, g, A, x, idx_f, working):
     grad = H @ x + g
-    if A.shape[0] > 0:
-        pi, *_ = np.linalg.lstsq(A[:, idx_f].T, grad[idx_f], rcond=None)
-    else:
-        pi = np.zeros(0)
-    mu = grad - (A.T @ pi if A.shape[0] > 0 else 0.0)
+    pi, *_ = np.linalg.lstsq(A[:, idx_f].T, grad[idx_f], rcond=None)
+    mu = grad - A.T @ pi
     mu = np.where(working, mu, 0.0)
     return pi, mu
 
@@ -173,21 +159,20 @@ def _finish(H, g, A, b, lb, x, working, iters, phase1_basis):
     nf = idx_f.size
     K = np.zeros((nf + m, nf + m))
     K[:nf, :nf] = H[np.ix_(idx_f, idx_f)]
-    if m > 0:
-        K[:nf, nf:] = -A[:, idx_f].T
-        K[nf:, :nf] = A[:, idx_f]
+    K[:nf, nf:] = -A[:, idx_f].T
+    K[nf:, :nf] = A[:, idx_f]
     rhs = np.concatenate([
         -(g[idx_f] + H[np.ix_(idx_f, idx_w)] @ x_out[idx_w]),
-        b - (A[:, idx_w] @ x_out[idx_w] if m > 0 else np.zeros(0)),
+        b - A[:, idx_w] @ x_out[idx_w],
     ])
     sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
     x_try = x_out.copy()
     x_try[idx_f] = sol[:nf]
     pi = sol[nf:]
     grad = H @ x_try + g
-    mu = grad - (A.T @ pi if m > 0 else 0.0)
+    mu = grad - A.T @ pi
     mu = np.where(working, mu, 0.0)
-    stat = grad - (A.T @ pi if m > 0 else 0.0) - mu
+    stat = grad - A.T @ pi - mu
     if not kkt_holds(A, b, lb, x_try, idx_f, grad, stat, mu):
         # Keep the iterate the loop certified instead of a failed polish.
         x_try = x_out

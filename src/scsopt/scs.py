@@ -52,6 +52,12 @@ from .exceptions import NonPositiveDelta, ZeroCap
 from .records import IterateRecord
 from .rng import substream
 
+# Constants the convergence theory bounds, fixed at values inside its ranges:
+# the line-search pair 0.25 <= m2 < m1 < 0.5, the replication slack eta1 > 1,
+# the radius factor gamma > 1, the schedule's failure probability
+# 0 < kappa_eps < 1, and the activation thickness tau > 0 of the lower bounds.
+_M1, _M2, _ETA1, _GAMMA, _KAPPA_EPS, _TAU = 0.4, 0.3, 2.0, 2.0, 0.05, 1e-6
+
 
 # ---------------------------------------------------------------------------
 # schedule / direction primitives
@@ -302,35 +308,35 @@ class ScsSolver(ParamsMixin):
     Parameters
     ----------
     eps : termination threshold on the direction norm and on the bundle norm.
-    m1, m2 : line-search constants, 0.25 <= m2 < m1 < 0.5.
-    eta1, eta2 : acceptance-test constants, eta1 > 1, eta2 > 0.
-    gamma : radius growth/shrink factor, > 1.
+    eta2 : radius-test constant, > 0: only a step whose direction norm
+        exceeds eta2 * delta can move the incumbent.
     delta0, delta_max : initial radius and its cap.
     delta_min : radius floor applied on rejections, at most delta0 (None:
         min(delta0 / 1000, 0.1 * eps / eta2)).
         The sampling schedule's accuracy argument presupposes a positive
         smallest radius; without a floor, a run whose sample size is capped
         can shrink the radius geometrically and strangle its own steps.
-    kappa : accuracy constant of the i.i.d. sampling schedule; None
-        estimates it from a small pilot sample as max(4 * Lhat / delta0, 1),
-        Lhat being the largest subgradient norm seen at the starting point.
-        Under "full" sampling no schedule runs, no pilot is drawn, and
-        ``kappa_`` is None.
-    kappa_eps : failure probability inside the sampling schedule.
     bound_lo, bound_hi : declared bounds [m, M] on the recourse value; None
         falls back to the instance's declared bounds, then to (0, 1).
     max_iter, max_sample : iteration and sample-size caps.
     sampling : "iid" grows a cumulative i.i.d. sample per the schedule;
         "full" uses the exact finite support (requires discrete marginals).
-    tau : activation thickness for the lower bounds, relative to the scale
-        of the starting point: every finite bound the incumbent lies within
-        tau * (1 + max|x0|) of is treated as active, whatever the direction,
-        and the incumbent is projected onto it.
     eval_fn : optional callable x -> float logged as the held-out estimate.
     eval_every : log eval_fn every this many iterations (always at the end).
     track_trials : record every line-search trial point (feasibility audits).
     record_wall_time : measure per-iteration wall time; False writes 0.0,
         keeping emitted logs byte-reproducible.
+
+    The theory's other constants are fixed (module constants): line-search
+    constants m1 = 0.4 and m2 = 0.3, replication slack eta1 = 2, radius
+    growth/shrink factor gamma = 2, the schedule's failure probability
+    kappa_eps = 0.05, and the activation thickness tau = 1e-6: every finite
+    bound the incumbent lies within tau * (1 + max|x0|) of is treated as
+    active, whatever the direction, and the incumbent is projected onto it.
+    The schedule's accuracy constant ``kappa_`` comes from a small pilot
+    sample as max(4 * Lhat / delta0, 1), Lhat being the largest subgradient
+    norm seen at the starting point; under "full" sampling no schedule runs,
+    no pilot is drawn, and ``kappa_`` is None.
 
     Attributes set by fit: ``x_``, ``history_``, ``diagnostics_``,
     ``trial_points_``, ``converged_``, ``status_``, ``n_iter_``, ``kappa_``,
@@ -340,29 +346,21 @@ class ScsSolver(ParamsMixin):
     is zero, so it stops "converged" at k = 1.
     """
 
-    def __init__(self, eps=1e-3, m1=0.4, m2=0.3, eta1=2.0, eta2=0.1, gamma=2.0,
-                 delta0=1.0, delta_max=100.0, delta_min=None, kappa=None,
-                 kappa_eps=0.05, bound_lo=None, bound_hi=None, max_iter=500,
-                 max_sample=2000, seed=0, sampling="iid", tau=1e-6,
-                 eval_fn=None, eval_every=1, track_trials=True, record_wall_time=True):
+    def __init__(self, eps=1e-3, eta2=0.1, delta0=1.0, delta_max=100.0, delta_min=None,
+                 bound_lo=None, bound_hi=None, max_iter=500, max_sample=2000, seed=0,
+                 sampling="iid", eval_fn=None, eval_every=1, track_trials=True,
+                 record_wall_time=True):
         self.eps = eps
-        self.m1 = m1
-        self.m2 = m2
-        self.eta1 = eta1
         self.eta2 = eta2
-        self.gamma = gamma
         self.delta0 = delta0
         self.delta_max = delta_max
         self.delta_min = delta_min
-        self.kappa = kappa
-        self.kappa_eps = kappa_eps
         self.bound_lo = bound_lo
         self.bound_hi = bound_hi
         self.max_iter = max_iter
         self.max_sample = max_sample
         self.seed = seed
         self.sampling = sampling
-        self.tau = tau
         self.eval_fn = eval_fn
         self.eval_every = eval_every
         self.track_trials = track_trials
@@ -371,28 +369,18 @@ class ScsSolver(ParamsMixin):
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
-        if not (0.25 <= self.m2 < self.m1 < 0.5):
-            raise ValueError("need 0.25 <= m2 < m1 < 0.5")
-        if not self.eta1 > 1.0:
-            raise ValueError("eta1 must exceed 1")
         if not self.eta2 > 0.0:
             raise ValueError("eta2 must be positive")
-        if not self.gamma > 1.0:
-            raise ValueError("gamma must exceed 1")
         if not 0.0 < self.delta0 <= self.delta_max:
             raise ValueError("need 0 < delta0 <= delta_max")
         if self.delta_min is not None and self.delta_min > self.delta0:
             raise ValueError("delta_min must not exceed delta0")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if not 0.0 < self.kappa_eps < 1.0:
-            raise ValueError("kappa_eps must lie in (0, 1)")
         if self.max_iter < 1 or self.max_sample < 1:
             raise ValueError("max_iter and max_sample must be >= 1")
         if self.sampling not in ("iid", "full"):
             raise ValueError("sampling must be 'iid' or 'full'")
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
 
     def _recourse_bounds(self, problem):
         lo = self.bound_lo if self.bound_lo is not None else problem.recourse_lo
@@ -406,8 +394,6 @@ class ScsSolver(ParamsMixin):
         return float(lo), float(hi)
 
     def _pilot_kappa(self, problem, x0):
-        if self.kappa is not None:
-            return float(self.kappa)
         v = oracle.pilot(problem, self.seed)._solutions(x0)[:, 1:]
         L_hat = float(np.linalg.norm(problem.Q @ x0 + problem.c + v, axis=1).max())
         return max(4.0 * L_hat / self.delta0, 1.0)
@@ -499,13 +485,13 @@ class ScsSolver(ParamsMixin):
             S = model.enumerate_support(problem)
         else:
             self.kappa_ = self._pilot_kappa(problem, x0)
-            n0 = sample_size(self.kappa_eps, spread, self.kappa_, self.delta0, self.max_sample)
+            n0 = sample_size(_KAPPA_EPS, spread, self.kappa_, self.delta0, self.max_sample)
             S = model.draw_scenarios(problem, substream(self.seed, "grow", 0), n0)
         F_S = oracle.SaaFunction(problem, S)
 
         x_hat = x0
         scale0 = 1.0 + float(np.abs(x0).max(initial=0.0))
-        thickness = self.tau * scale0
+        thickness = _TAU * scale0
         if self.delta_min is not None:
             delta_floor = self.delta_min
         else:
@@ -571,7 +557,7 @@ class ScsSolver(ParamsMixin):
             if ls is None:
                 try:
                     t_max = step_cap(x_hat, d, delta, lb, active)
-                    ls = line_search(F_S, Z_face, x_hat, d, self.m1, self.m2, t_max,
+                    ls = line_search(F_S, Z_face, x_hat, d, _M1, _M2, t_max,
                                      accept_boundary=True, boundary_floor=thickness)
                 except ZeroCap:
                     t_max = 0.0
@@ -596,8 +582,7 @@ class ScsSolver(ParamsMixin):
             accepted = False
             if not stop:
                 if self.sampling == "iid":
-                    target = sample_size(self.kappa_eps, spread, self.kappa_, delta,
-                                         self.max_sample)
+                    target = sample_size(_KAPPA_EPS, spread, self.kappa_, delta, self.max_sample)
                     if target > len(F_S):
                         S = _joined(S, model.draw_scenarios(
                             problem, substream(self.seed, "grow", k), target - len(F_S)))
@@ -606,14 +591,14 @@ class ScsSolver(ParamsMixin):
                     accepted = self.sampling == "full" or acceptance_test(
                         F_S, F_S.sibling(model.draw_scenarios(
                             problem, substream(self.seed, "test_set", k), len(F_S))),
-                        ls.x_new, x_hat, self.eta1)
+                        ls.x_new, x_hat, _ETA1)
                 if accepted:
                     # New bounds the step landed on are picked up by the
                     # epsilon-active refresh at the top of the next iteration.
                     x_hat = ls.x_new
-                    delta = min(self.gamma * delta, self.delta_max)
+                    delta = min(_GAMMA * delta, self.delta_max)
                 else:
-                    delta = max(delta / self.gamma, delta_floor)
+                    delta = max(delta / _GAMMA, delta_floor)
                 # Subgradient for the next direction, on the grown sample: the
                 # (possibly new) incumbent, or after a failed search the
                 # hardest-cutting trial point, so the far-side slope of a kink

@@ -50,8 +50,6 @@ def solve_lp(c, A, b, basis=None):
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
     b = np.asarray(b, dtype=float).reshape(-1)
     m, n = A.shape
     if c.size != n or b.size != m:

@@ -30,8 +30,7 @@ def test_fixed_point_at_optimum():
 def test_deterministic_qp_monotone_distance_decrease():
     p = deterministic_qp()
     x_star = np.array([0.3, 0.7])
-    solver = SgdSolver(c=0.2, step_rule="inv_sqrt", batch=1, iters=40, seed=1,
-                       record_wall_time=False)
+    solver = SgdSolver(c=0.2, batch=1, iters=40, seed=1, record_wall_time=False)
     solver.fit(p)
     # reconstruct iterate distances from history via a fresh run (deterministic)
     dists = []
@@ -223,8 +222,6 @@ def test_functional_wrappers():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        SgdSolver(step_rule="warp").fit(deterministic_qp())
     with pytest.raises(ValueError):
         SgdSolver(c=-1.0).fit(deterministic_qp())
     with pytest.raises(ValueError):

@@ -349,6 +349,23 @@ def random_lp(seed, case):
                            lower_bounds=None if case == "free" else np.zeros(n1))
 
 
+def test_recourse_infeasible_at_a_master_point_hands_off_to_the_dense_solve():
+    # y = xi - x1 >= 0 holds at the start point x0 = (0.5, 0.5) for both atoms, but
+    # the first master, min -x1 + E[y] over the cuts at x0, moves to x1 = 1, where it fails
+    p = TwoStageProblem(Q=np.zeros((2, 2)), c=[-1.0, 0.0], A=[[1.0, 1.0]], b=[1.0],
+                        D=[[1.0]], d=[1.0], xi=[0.6], C=[[1.0, 0.0]], lower_bounds=np.zeros(2),
+                        stochastic_map=[RandomEntry("rhs", 0, dist=Discrete((0.6, 0.9), (0.5, 0.5)))])
+    prog = extensive_form(p, enumerate_support(p))
+    np.testing.assert_allclose(initial_feasible_point(p), [0.5, 0.5])
+    with mock.patch.object(DeterministicProgram, "_dense_solve", autospec=True,
+                           side_effect=DeterministicProgram._dense_solve) as dense:
+        sol = prog.solve()
+    assert dense.call_count == 1
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(-0.45, abs=1e-12)
+    np.testing.assert_allclose(sol.x, [0.6, 0.4], atol=1e-12)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 100_000), st.sampled_from(["bounded", "free", "infeasible"]))
 def test_decomposed_solve_matches_the_dense_solve(seed, case):

@@ -219,6 +219,15 @@ class TestSaaFunction:
             F.value(np.array([1.0]))
         assert err.value.scenario_index == 1
 
+    def test_unbounded_recourse_reported_with_index(self):
+        # min -y1 s.t. y1 - y2 = rhs, y >= 0: y1 grows without bound for any rhs
+        p = lp_problem(D=[[1.0, -1.0]], d=[-1.0, 0.0])
+        S = [Scenario(xi=np.array([2.0]), C=np.array([[1.0]]), weight=0.5),
+             Scenario(xi=np.array([3.0]), C=np.array([[1.0]]), weight=0.5)]
+        with pytest.raises(RecourseInfeasible, match=r"unbounded below \(scenario 0\)") as err:
+            SaaFunction(p, S).value(np.array([1.0]))
+        assert err.value.scenario_index == 0
+
     def test_infeasible_merged_draw_reported_with_its_first_position(self):
         # xi = 0 leaves Dy = -1 with y >= 0: the draws merge into rows
         # (xi = 5, xi = 0), and the second row first appears at draw 3.

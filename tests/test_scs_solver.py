@@ -77,7 +77,7 @@ def test_accepted_steps_log_sufficient_decrease():
     fx = sqlp_fixtures()[0]
     s = ScsSolver(sampling="full", seed=5, record_wall_time=False, **fx.scs)
     s.fit(fx.problem)
-    m2 = s.m2
+    m2 = scs._M2
     seen = 0
     for rec, dg in zip(s.history_, s.diagnostics_):
         if rec.accepted:
@@ -92,7 +92,7 @@ def test_delta_update_rule():
     s = ScsSolver(sampling="full", seed=5, record_wall_time=False, **params)
     s.fit(fx.problem)
     delta = params["delta0"]
-    gamma = s.gamma
+    gamma = scs._GAMMA
     floor = min(params["delta0"] * 1e-3, 0.1 * s.eps / s.eta2)
     for rec in s.history_:
         if rec.step_t == 0.0 and rec.d_norm <= s.eps:
@@ -220,9 +220,9 @@ def test_stopping_sanity_over_seeds():
 
 
 def test_get_set_params_roundtrip():
-    s = ScsSolver(eps=0.5, m1=0.45)
+    s = ScsSolver(eps=0.5, eta2=0.45)
     params = s.get_params()
-    assert params["eps"] == 0.5 and params["m1"] == 0.45
+    assert params["eps"] == 0.5 and params["eta2"] == 0.45
     s.set_params(eps=0.25)
     assert s.eps == 0.25
     with pytest.raises(ValueError):
@@ -230,10 +230,6 @@ def test_get_set_params_roundtrip():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError, match="m2 < m1"):
-        ScsSolver(m1=0.3, m2=0.4).fit(deterministic_qp())
-    with pytest.raises(ValueError, match="eta1"):
-        ScsSolver(eta1=0.5).fit(deterministic_qp())
     with pytest.raises(ValueError, match="delta0"):
         ScsSolver(delta0=200.0, delta_max=100.0).fit(deterministic_qp())
     with pytest.raises(ValueError, match="sampling"):
@@ -375,7 +371,7 @@ def test_zero_cap_rejects_the_iteration_and_the_fit_still_stops_by_a_norm_rule(m
     k = next(d.k for d in solver.diagnostics_ if d.ls_reason == "zero_cap")
     prev, rec, dg = solver.history_[k - 2], solver.history_[k - 1], solver.diagnostics_[k - 1]
     assert len(calls) > 3 and dg.t_max == 0.0 and dg.ls_evals == 0
-    assert not rec.accepted and rec.delta == prev.delta / solver.gamma
+    assert not rec.accepted and rec.delta == prev.delta / scs._GAMMA
     assert [d.k for d in solver.diagnostics_ if d.ls_reason == "zero_cap"] == [k]
     assert solver.status_ == "converged"
     assert solver.diagnostics_[-1].ls_reason in ("terminated", "certified")
