@@ -19,10 +19,9 @@ from .rng import substream
 class _BaselineSolver(ParamsMixin):
     averaging_default = "last"
 
-    def __init__(self, c=None, G_bound=1.0, batch=8, iters=200, seed=0, averaging=None,
+    def __init__(self, c=None, batch=8, iters=200, seed=0, averaging=None,
                  eval_fn=None, eval_every=1, record_wall_time=True):
         self.c = c
-        self.G_bound = G_bound
         self.batch = batch
         self.iters = iters
         self.seed = seed
@@ -34,8 +33,6 @@ class _BaselineSolver(ParamsMixin):
     def _validate(self):
         if self.c is not None and not self.c > 0.0:
             raise ValueError("c must be positive")
-        if not self.G_bound > 0.0:
-            raise ValueError("G_bound must be positive")
         if self.batch < 1 or self.iters < 1:
             raise ValueError("batch and iters must be >= 1")
         if (self.averaging or self.averaging_default) not in ("last", "uniform"):
@@ -103,6 +100,17 @@ class SmdSolver(_BaselineSolver):
     """
 
     averaging_default = "uniform"
+
+    def __init__(self, c=None, G_bound=1.0, batch=8, iters=200, seed=0, averaging=None,
+                 eval_fn=None, eval_every=1, record_wall_time=True):
+        super().__init__(c=c, batch=batch, iters=iters, seed=seed, averaging=averaging,
+                         eval_fn=eval_fn, eval_every=eval_every, record_wall_time=record_wall_time)
+        self.G_bound = G_bound
+
+    def _validate(self):
+        super()._validate()
+        if not self.G_bound > 0.0:
+            raise ValueError("G_bound must be positive")
 
     def _base_step(self, problem, x0):
         c = float(self.c) if self.c is not None else 1.0 + float(np.linalg.norm(x0))

@@ -11,10 +11,11 @@ entries of the right-hand side xi and of the technology matrix C, described
 by independent marginals in ``stochastic_map``.
 
 The module also solves the deterministic equivalent over a finite scenario
-set (the ground-truth oracle used throughout the test suite): an LP by
-multi-cut decomposition over the SAA oracle's rows, a QP by the dense
-active-set solve of the block-structured form.  It also evaluates exact
-objectives over finite supports.
+set (the ground-truth oracle used throughout the test suite): a program with
+linear recourse by multi-cut decomposition over the SAA oracle's rows, one
+with quadratic recourse by the dense active-set solve of the
+block-structured form.  It also evaluates exact objectives over finite
+supports.
 """
 
 from dataclasses import dataclass
@@ -330,22 +331,27 @@ class DeterministicProgram:
     subject to Ax = b and C_i x + D y_i = xi_i, y_i >= 0 (plus x >= lb when
     bounds are present).
 
-    A linear program (Q = 0 and linear recourse) is solved by multi-cut
-    decomposition (Van Slyke and Wets, 1969; Birge and Louveaux, 1988).  The
-    master has variables [x, theta_1..theta_N, cut slacks] and rows Ax = b
-    plus one row  theta_s - v'x - s = h - v'x_k  per cut, where [h | v] is
-    scenario s's row of a ``SaaFunction`` over the set at x_k.  The first
-    cuts are taken at ``initial_feasible_point``; each round appends the cuts
-    that the master point violates, and the new slacks join the last basis,
-    which stays dual feasible, so the dual simplex goes on from it.  With no
+    A program with linear recourse is solved by multi-cut decomposition (Van
+    Slyke and Wets, 1969; Birge and Louveaux, 1988).  The master has
+    variables [x, theta_1..theta_N, cut slacks], objective
+    1/2 x'Qx + c'x + sum_s w_s theta_s, and rows Ax = b plus one row
+    theta_s - v'x - s = h - v'x_k  per cut, where [h | v] is scenario s's row
+    of a ``SaaFunction`` over the set at x_k.  The first cuts are taken at
+    ``initial_feasible_point``; each round appends the cuts that the master
+    point violates.  With Q = 0 the new slacks join the last basis, which
+    stays dual feasible, so the dual simplex goes on from it.  With Q != 0
+    the active-set QP starts at the last master point with each theta_s
+    raised to at least h_s(x), where every old and new cut holds (the first
+    master starts at the first cut point), and so runs no phase 1.  With no
     cut violated, the value is F(x) at the master's x.  A master that is not
-    optimal (unbounded, as with a free first stage), a recourse infeasible
-    at the start or at a master point, an empty first stage or a round that
-    would add no new cut hands the program to the dense solve.
+    optimal (unbounded, as with a free first stage and a Q that is singular
+    on it), a recourse infeasible at the start or at a master point, an
+    empty first stage or a round that would add no new cut hands the
+    program to the dense solve.
 
-    A quadratic program, and every hand-off, is solved whole in the
-    block-structured form: the revised simplex for an LP, the active-set
-    solve for a QP.
+    A program with quadratic recourse, and every hand-off, is solved whole
+    in the block-structured form: the revised simplex for an LP, the
+    active-set solve for a QP.
     """
 
     def __init__(self, problem, scenarios):
@@ -357,7 +363,7 @@ class DeterministicProgram:
         self.is_lp = (not problem.quadratic_recourse) and np.abs(problem.Q).max(initial=0.0) == 0.0
 
     def solve(self):
-        sol = self._decomposed_solve() if self.is_lp else None
+        sol = None if self.problem.quadratic_recourse else self._decomposed_solve()
         return self._dense_solve() if sol is None else sol
 
     def _decomposed_solve(self):
@@ -375,7 +381,7 @@ class DeterministicProgram:
             rows = F._solutions(x)
         except (InfeasibleRegion, RecourseInfeasible):
             return None
-        cuts, seen, new, res = np.empty((0, n1 + N + 1)), set(), np.arange(N), None
+        cuts, seen, new, res, theta = np.empty((0, n1 + N + 1)), set(), np.arange(N), None, rows[:, 0]
         while True:
             block = np.zeros((new.size, n1 + N + 1))  # [-v | e_s | h - v'x] per violated scenario s
             block[:, :n1] = -rows[new, 1:]
@@ -392,9 +398,18 @@ class DeterministicProgram:
             M[p.m1:, :n1 + N] = cuts[:, :-1]
             M[p.m1:, n1 + N:] = -np.eye(K)
             b = np.concatenate([p.b, cuts[:, -1]])
-            basis = None if res is None else np.concatenate([res.basis, res.x.size + np.arange(new.size)])
-            res, v = simplex.solve_lp_bounded(np.concatenate([p.c, w, np.zeros(K)]), M, b,
-                                              np.concatenate([lb, np.zeros(K)]), basis=basis)
+            cost, lb_K = np.concatenate([p.c, w, np.zeros(K)]), np.concatenate([lb, np.zeros(K)])
+            if self.is_lp:
+                basis = None if res is None else np.concatenate([res.basis, res.x.size + np.arange(new.size)])
+                res, v = simplex.solve_lp_bounded(cost, M, b, lb_K, basis=basis)
+            else:
+                # start at the last x with theta_s >= h_s(x): every old and new cut holds there
+                xt = np.concatenate([x, np.maximum(theta, rows[:, 0])])
+                H = np.zeros((n1 + N + K, n1 + N + K))
+                H[:n1, :n1] = p.Q
+                res = qpsolve.solve_qp(H, cost, M, b, lb_K,
+                                       start=np.concatenate([xt, cuts[:, :-1] @ xt - cuts[:, -1]]))
+                v = res.x if res.status == qpsolve.OPTIMAL else None
             if v is None:
                 return None
             x, theta = v[:n1], v[n1:n1 + N]

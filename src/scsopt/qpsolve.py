@@ -9,8 +9,9 @@ returned satisfying the stationarity convention
 Semidefinite reduced Hessians are handled explicitly: when the equality-
 constrained subproblem is unbounded the solver walks the descent ray to the
 nearest bound, so purely linear blocks (an LP embedded in a QP) are solved
-correctly rather than rejected.  A feasible starting vertex comes from a
-phase-1 simplex run on the shifted/split variables.
+correctly rather than rejected.  The iteration starts from the caller's
+point when it is feasible within the simplex's tolerance, else from a
+vertex that a phase-1 simplex run on the shifted/split variables finds.
 """
 
 from dataclasses import dataclass
@@ -45,8 +46,13 @@ def _null_basis(M):
     return Vt[rank:].T.copy()
 
 
-def solve_qp(H, g, A, b, lb, phase1_basis=None):
-    """QpResult for min 1/2 x'Hx + g'x s.t. Ax = b, x >= lb, A 2-D; lb entries may be -inf."""
+def solve_qp(H, g, A, b, lb, phase1_basis=None, start=None):
+    """QpResult for min 1/2 x'Hx + g'x s.t. Ax = b, x >= lb, A 2-D; lb entries may be -inf.
+
+    ``start`` is an optional starting point.  It replaces phase 1 only where
+    |Ax - b| and lb - x stay within the simplex's feasibility tolerance
+    (``simplex._TOL`` relative to the data's scale); else phase 1 runs.
+    """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
     n = g.size
@@ -57,12 +63,16 @@ def solve_qp(H, g, A, b, lb, phase1_basis=None):
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(lb[np.isfinite(lb)]).max(initial=0.0))
 
-    # A vertex of {Ax = b, x >= lb}.  Its basis warm-starts the next solve for
-    # the same A and lb: any feasible basis is optimal for the zero objective,
-    # so a cached one usually costs zero pivots.
-    phase1, x = simplex.solve_lp_bounded(np.zeros(n), A, b, lb, basis=phase1_basis)
-    if x is None:
-        return QpResult(INFEASIBLE, None, np.inf, None, None, None, 0)
+    x = None if start is None else np.array(start, dtype=float).reshape(-1)
+    feas_tol = simplex._TOL * scale
+    if x is None or np.abs(A @ x - b).max(initial=0.0) > feas_tol or np.any(x < lb - feas_tol):
+        # A vertex of {Ax = b, x >= lb}.  Its basis warm-starts the next solve
+        # for the same A and lb: any feasible basis is optimal for the zero
+        # objective, so a cached one usually costs zero pivots.
+        phase1, x = simplex.solve_lp_bounded(np.zeros(n), A, b, lb, basis=phase1_basis)
+        if x is None:
+            return QpResult(INFEASIBLE, None, np.inf, None, None, None, 0)
+        phase1_basis = phase1.basis
 
     bounded = np.isfinite(lb)
     act_tol = 1e-9 * scale
@@ -102,7 +112,7 @@ def solve_qp(H, g, A, b, lb, phase1_basis=None):
             pi, mu = _multipliers(H, g, A, x, idx_f, working)
             mu_min = mu[working].min(initial=0.0) if working.any() else 0.0
             if mu_min >= -1e-8 * (1.0 + float(np.abs(grad).max(initial=0.0))):
-                return _finish(H, g, A, b, lb, x, working, it, phase1.basis)
+                return _finish(H, g, A, b, lb, x, working, it, phase1_basis)
             drop = np.flatnonzero(working)[int(np.argmin(mu[working]))]
             working[drop] = False
             continue
@@ -118,7 +128,7 @@ def solve_qp(H, g, A, b, lb, phase1_basis=None):
                 blocking = i
         if ray:
             if not np.isfinite(alpha_max):
-                return QpResult(UNBOUNDED, None, -np.inf, None, None, None, it, phase1.basis)
+                return QpResult(UNBOUNDED, None, -np.inf, None, None, None, it, phase1_basis)
             alpha = alpha_max
         else:
             alpha = min(1.0, alpha_max)

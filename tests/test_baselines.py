@@ -226,3 +226,5 @@ def test_param_validation():
         SgdSolver(c=-1.0).fit(deterministic_qp())
     with pytest.raises(ValueError):
         SmdSolver(G_bound=0.0).fit(deterministic_qp())
+    with pytest.raises(TypeError):
+        SgdSolver(G_bound=2.0)

@@ -218,6 +218,12 @@ def test_main_solve_and_exit_codes(tmp_path, instance_path, capsys):
                  "--config", str(bad_cfg), "--out", str(tmp_path / "out3")])
     assert code == 2
 
+    # only SMD reads G_bound
+    bad_cfg.write_text("[sgd]\nG_bound = 2.0\n")
+    code = main(["solve", "--instance", instance_path, "--solver", "sgd",
+                 "--config", str(bad_cfg), "--out", str(tmp_path / "out4")])
+    assert code == 2
+
 
 def test_main_compare(tmp_path, instance_path, capsys):
     cfg_path = tmp_path / "p.cfg"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scsopt import simplex
 from scsopt.exceptions import DimensionMismatch, InfeasibleRegion
 from scsopt.model import (
     DeterministicProgram,
@@ -319,12 +320,17 @@ def test_rows_without_an_atom_index(monkeypatch):
     assert ScenarioSet([Scenario(np.zeros(2), np.zeros((2, 2)), 1.0)]).atoms is None
 
 
-def random_lp(seed, case):
-    """A random LP two-stage program on the simplex {sum x = 1} with discrete right-hand sides.
+def random_lp(seed, case, Q=None, scale=1.0):
+    """A random two-stage program on the simplex {sum x = 1} with discrete right-hand sides.
 
     ``case`` "bounded" has x >= 0 and complete recourse; "free" drops the
     bounds; "infeasible" makes the recourse y = xi - Cx >= 0, which one atom
-    of xi_0 violates at the start point x0 = 1/n1.
+    of xi_0 violates at the start point x0 = 1/n1.  The first stage is
+    linear unless ``Q`` is "spd" (positive definite) or "psd" (singular,
+    with a null direction u that keeps sum x = 1, so with free x the first
+    master, whose cuts are linear along u, is unbounded).  ``scale``
+    multiplies the costs c, d and Q; at 1e-3 most cuts are violated by less
+    than 1e-3.
     """
     rng = np.random.default_rng(seed)
     n1, m2 = int(rng.integers(2, 5)), int(rng.integers(2, 4))
@@ -344,8 +350,17 @@ def random_lp(seed, case):
     if rng.random() < 0.5:
         entries.append(RandomEntry("tech", m2 - 1, int(rng.integers(n1)),
                                    dist=Discrete(tuple(rng.normal(size=2)), (0.5, 0.5))))
-    return TwoStageProblem(Q=np.zeros((n1, n1)), c=rng.normal(size=n1), A=np.ones((1, n1)), b=[1.0],
-                           D=D, d=d, xi=xi, C=C, stochastic_map=entries,
+    c = rng.normal(size=n1)
+    L = rng.normal(size=(n1, n1))
+    if Q == "spd":
+        L = L + 2.0 * np.eye(n1)
+    elif Q == "psd":
+        u = rng.normal(size=n1)
+        u -= u.mean()
+        L -= np.outer(u, u @ L) / (u @ u)
+    Q = np.zeros((n1, n1)) if Q is None else L @ L.T
+    return TwoStageProblem(Q=0.5 * scale * (Q + Q.T), c=scale * c, A=np.ones((1, n1)), b=[1.0],
+                           D=D, d=scale * d, xi=xi, C=C, stochastic_map=entries,
                            lower_bounds=None if case == "free" else np.zeros(n1))
 
 
@@ -366,23 +381,31 @@ def test_recourse_infeasible_at_a_master_point_hands_off_to_the_dense_solve():
     np.testing.assert_allclose(sol.x, [0.6, 0.4], atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 100_000), st.sampled_from(["bounded", "free", "infeasible"]))
-def test_decomposed_solve_matches_the_dense_solve(seed, case):
-    p = random_lp(seed, case)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 100_000), st.sampled_from(["bounded", "free", "infeasible"]),
+       st.sampled_from([None, "spd", "psd"]), st.sampled_from([1.0, 1e-3]))
+def test_decomposed_solve_matches_the_dense_solve(seed, case, Q, scale):
+    p = random_lp(seed, case, Q, scale)
     prog = extensive_form(p, enumerate_support(p))
     ref = prog._dense_solve()
     with mock.patch.object(DeterministicProgram, "_dense_solve", autospec=True,
-                           side_effect=DeterministicProgram._dense_solve) as dense:
+                           side_effect=DeterministicProgram._dense_solve) as dense, \
+            mock.patch.object(simplex, "solve_lp_bounded", wraps=simplex.solve_lp_bounded) as lp:
         sol = prog.solve()
-    # a free first stage leaves the first master unbounded, and the recourse
-    # is infeasible at the start point: both hand the program to the dense solve
-    assert dense.call_count == (case != "bounded")
+    # the recourse is infeasible at the start point, and a free first stage
+    # leaves the first master unbounded unless Q is positive definite: both
+    # hand the program to the dense solve
+    decomposed = case == "bounded" or (case == "free" and Q == "spd")
+    assert dense.call_count == (not decomposed)
+    if decomposed and Q is not None:
+        # every QP master starts at a feasible point, so none runs phase 1
+        assert lp.call_count == 0
     assert sol.status == ref.status
-    if case == "bounded":
+    if decomposed:
         assert sol.status == "optimal"
         assert abs(sol.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
         assert np.abs(p.A @ sol.x - p.b).max() <= 1e-9
-        assert sol.x.min() >= -1e-9
+        if case == "bounded":
+            assert sol.x.min() >= -1e-9
     elif sol.status == "optimal":
         assert sol.value == ref.value

@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from scsopt.qpsolve import solve_qp
+from scsopt import simplex
+from scsopt.qpsolve import kkt_holds, solve_qp
 from scsopt.simplex import solve_lp_bounded
 
 
@@ -84,6 +86,39 @@ def test_random_pd_against_enumeration():
         assert np.abs(stat).max() <= 1e-8 * (1 + np.abs(g).max() + np.abs(H).max())
         assert r.mu.min() >= 0.0
         assert abs(r.mu @ (r.x - lb)) <= 1e-7
+
+
+def test_feasible_start_matches_the_phase1_start():
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, n))
+        L = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+        H = L @ L.T  # rank-deficient when L has fewer than n columns
+        A = rng.normal(size=(m, n))
+        start = rng.uniform(0.2, 1.0, n) * (rng.random(n) < 0.7)  # some starts sit on a bound
+        b = A @ start
+        g = rng.normal(size=n)
+        lb = np.zeros(n)
+        cold = solve_qp(H, g, A, b, lb=lb)
+        with mock.patch.object(simplex, "solve_lp_bounded", wraps=simplex.solve_lp_bounded) as phase1:
+            warm = solve_qp(H, g, A, b, lb=lb, start=start)
+        assert phase1.call_count == 0
+        assert warm.status == cold.status
+        if cold.status != "optimal":
+            continue
+        assert abs(warm.obj - cold.obj) <= 1e-12 * max(1.0, abs(cold.obj))
+        grad = H @ warm.x + g
+        stat = grad - A.T @ warm.pi - warm.mu
+        assert kkt_holds(A, b, lb, warm.x, ~warm.working_set, grad, stat, warm.mu)
+        # a start off Ax = b, or one that keeps Ax = b below a bound, runs phase 1
+        z = np.linalg.svd(A)[2][-1]  # A z = 0
+        z = z if z.min() < 0.0 else -z
+        i = int(np.argmin(start / np.where(z < 0.0, -z, np.inf)))
+        below = start + (start[i] + 1e-6) / -z[i] * z
+        for bad in (start + 1e-6 * A[0], below):
+            res = solve_qp(H, g, A, b, lb=lb, start=bad)
+            assert res.obj == cold.obj and np.array_equal(res.x, cold.x)
 
 
 def test_semidefinite_lp_block():
