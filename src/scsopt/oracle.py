@@ -34,12 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, qpsolve, simplex
-from .base import as_vector
-from .exceptions import NumericalBreakdown, RankDeficientD, RecourseInfeasible
+from .exceptions import DimensionMismatch, NumericalBreakdown, RankDeficientD, RecourseInfeasible
 from .model import ScenarioSet, as_scenario_set
 from .rng import substream
 
 _CACHE_LIMIT = 128
+_ROW_TABLE_LIMIT = 32  # points; a line search ends by its 25th trial, so its start is still held
 _PILOT_SIZE = 32
 
 
@@ -166,9 +166,10 @@ class SaaFunction:
 
     Per-row recourse values and subgradients are cached per evaluation
     point (bounded LRU) as one array of rows [h_i | v_i], filled whole the
-    first time a point is asked for.  The rows are screened against a table
-    of cells stacked in discovery order, each an affine map of the
-    right-hand side r:
+    first time a point is asked for; the entry also keeps F(x) and the
+    subgradient, each from the first time it is asked for (a caller gets a
+    copy of the latter).  The rows are screened against a table of cells
+    stacked in discovery order, each an affine map of the right-hand side r:
 
     * an LP cell is a dual-feasible basis B (dual feasibility depends only on
       (d, D)); a scenario whose basic solution B^-1 r is nonnegative is
@@ -186,6 +187,19 @@ class SaaFunction:
     basis a solve returned (the phase-1 basis of a QP), and its cell joins
     the table before the rest are screened again.  The sums below run over
     the rows in their fixed order, so results are bit-reproducible.
+
+    Siblings, the oracles of one fit, also share a table of filled rows
+    keyed by point, for the last ``_ROW_TABLE_LIMIT`` points filled.  At
+    each point it holds the last fill over at least as many rows as the one
+    before, by reference: the filling oracle's map from atom index to row,
+    its row array, and the rows it settled alone.  A row is settled alone
+    by a scalar solve, or by a screen pass that settled no other row, where
+    numpy takes matrix-vector products that round differently from the
+    matrix products of a wider pass.  An oracle of two or more rows, with
+    an atom index and the same kind of right-hand side (C shared or not),
+    whose every atom has a row there not settled alone, gathers those rows
+    and does not fill: its own fill would settle them all in its first
+    pass, by the same cells in the same order, to the same bits.
     """
 
     def __init__(self, problem, scenarios):
@@ -193,25 +207,30 @@ class SaaFunction:
         given = as_scenario_set(scenarios)
         self._n = len(given)
         self.scenarios, self._first = given, range(self._n)  # row i first appears at draw _first[i]
+        self._row_of = None  # atom index -> row
         if given.atoms is not None:
-            first, count = {}, {}  # per atom, in first-appearance order
+            self._row_of, first, count = {}, [], []  # per atom, in first-appearance order
             for j, atom in enumerate(given.atoms.tolist()):
-                if atom in first:
-                    count[atom] += 1
+                i = self._row_of.get(atom)
+                if i is None:
+                    self._row_of[atom] = len(first)
+                    first.append(j)
+                    count.append(1)
                 else:
-                    first[atom], count[atom] = j, 1
+                    count[i] += 1
             if len(first) < self._n:
-                self._first = rows = np.fromiter(first.values(), int)
-                weights = np.fromiter(count.values(), float) / self._n
+                self._first = rows = np.array(first)
+                weights = np.array(count, dtype=float) / self._n
                 self.scenarios = ScenarioSet.from_arrays(given.xi[rows], given.C[rows], weights,
                                                          given.atoms[rows])
         self._cache = OrderedDict()
         self._basis_hint = None  # the last basis a scalar solve returned
-        self._cells = {"tried": {}, "cells": [], "stack": ()}  # shared by siblings
+        self._cells = {"tried": {}, "cells": [], "stack": (), "rows": {}}  # shared by siblings
         self._shared_C = bool((self.scenarios.C == self.scenarios.C[0]).all())
+        self._terms = None  # (1 + rows) x n1 buffer of the subgradient's summands
 
     def sibling(self, scenarios):
-        """Oracle over ``scenarios`` sharing this one's cell table and starting from its last basis.
+        """Oracle over ``scenarios`` sharing this one's cells and rows, starting from its last basis.
 
         For sample sets of the same problem, e.g. a grown sample, which holds
         the draws so far and the new ones, and the replication sets drawn
@@ -299,26 +318,53 @@ class SaaFunction:
 
     def _solutions(self, x):
         """N x (1 + n1) array whose row i is [h_i | v_i] at x."""
-        key = x.tobytes()
-        rows = self._cache.pop(key, None)
-        if rows is None:
-            rows = self._fill(x)
-        self._cache[key] = rows
-        while len(self._cache) > _CACHE_LIMIT:
-            self._cache.popitem(last=False)
-        return rows
+        return self._memo(x)[1][0]
 
-    def _fill(self, x):
+    def _memo(self, x):
+        """(x as a float vector, its LRU entry [rows, F(x) or None, subgradient or None]).
+
+        Only a point not in the LRU is checked, since equal bytes are equal
+        values; its rows are gathered or filled.
+        """
+        x = np.asarray(x, dtype=float).reshape(-1)
+        key = x.tobytes()
+        memo = self._cache.pop(key, None)
+        if memo is None:
+            if x.size != self.problem.n1:
+                raise DimensionMismatch(f"x must have length {self.problem.n1}, got {x.size}")
+            if not np.isfinite(x).all():
+                raise ValueError("x contains NaN or Inf entries")
+            rows = self._gather(key)
+            memo = [self._fill(x, key) if rows is None else rows, None, None]
+        self._cache[key] = memo
+        if len(self._cache) > _CACHE_LIMIT:
+            self._cache.popitem(last=False)
+        return x, memo
+
+    def _gather(self, key):
+        """The rows at the point ``key`` from the family's table, or None if one lacks."""
+        entry = self._cells["rows"].get(key) if self._row_of and len(self._row_of) > 1 else None
+        if entry is None or entry[3] != self._shared_C:
+            return None
+        row_of, rows, alone, _ = entry
+        at = [row_of.get(atom) for atom in self._row_of]
+        if None in at or not alone.isdisjoint(at):
+            return None
+        return rows[at]
+
+    def _fill(self, x, key):
         """The rows at x: screen every scenario, solve one, pool its cell, repeat.
 
         The right-hand sides, one column each (one product with C_0 when C is
         shared), are screened against every stacked cell.  While scenarios
         remain, the first is solved warm-started from the last basis, its
         cell joins the table, and the rest are screened against the cells
-        added since the last pass.
+        added since the last pass.  An oracle with an atom index enters the
+        rows in the family's table at ``key``.
         """
         S, cells = self.scenarios, self._cells["cells"]
         rows, missing = np.empty((len(S), 1 + self.problem.n1)), np.arange(len(S))
+        alone = set()  # rows settled alone, which no other fill reproduces bit for bit
         R = (np.subtract(S.xi.T, (S.C[0] @ x)[:, None], order="C") if self._shared_C
              else np.ascontiguousarray((S.xi - S.C @ x).T))
         screened = 0
@@ -326,11 +372,13 @@ class SaaFunction:
             if len(cells) > screened:
                 hit, h, pi = self._screen(R, screened)
                 idx = missing[hit]
+                if idx.size == 1:
+                    alone.add(int(idx[0]))
                 rows[idx, 0] = h
                 rows[idx, 1:] = -(pi @ S.C[0]) if self._shared_C else -np.einsum("imn,im->in", S.C[idx], pi)
-                missing, R = missing[~hit], R[:, ~hit]
-                if not missing.size:
+                if idx.size == missing.size:
                     break
+                missing, R = missing[~hit], R[:, ~hit]
             screened = len(cells)
             i = int(missing[0])
             s = S[i]
@@ -338,31 +386,43 @@ class SaaFunction:
                                  int(self._first[i]))
             rows[i, 0] = sol.h
             rows[i, 1:] = -s.C.T @ sol.pi
+            alone.add(i)
             self._basis_hint = sol.basis
             free = sol.basis if sol.working_set is None else np.flatnonzero(~sol.working_set)
             self._pool(tuple(free.tolist()))
             missing, R = missing[1:], R[:, 1:]
+        table, held = self._cells["rows"], self._cells["rows"].get(key)
+        if self._row_of is not None and (held is None or len(S) >= len(held[0])):
+            table.pop(key, None)  # re-entered as the newest
+            table[key] = (self._row_of, rows, alone, self._shared_C)
+            if len(table) > _ROW_TABLE_LIMIT:
+                del table[next(iter(table))]
         return rows
 
-    def _value(self, x, rows):
-        h = np.ascontiguousarray(rows[:, 0])
-        return self.problem.first_stage_cost(x) + float(self.scenarios.weights @ h)
+    def _value(self, x, memo):
+        if memo[1] is None:
+            h = np.ascontiguousarray(memo[0][:, 0])
+            memo[1] = self.problem.first_stage_cost(x) + float(self.scenarios.weights @ h)
+        return memo[1]
 
-    def _subgrad(self, x, rows):
+    def _subgrad(self, x, memo):
         # Reducing over axis 0 adds the rows one after another, so this is
         # bit-equal to g = Qx + c; g = g + w_i v_i over i in scenario order.
-        terms = self.scenarios.weights[:, None] * rows[:, 1:]
-        return np.add.reduce(np.vstack([self.problem.Q @ x + self.problem.c, terms]), axis=0)
+        if memo[2] is None:
+            if self._terms is None:
+                self._terms = np.empty((1 + len(self.scenarios), self.problem.n1))
+            terms = self._terms
+            terms[0] = self.problem.Q @ x + self.problem.c
+            np.multiply(self.scenarios.weights[:, None], memo[0][:, 1:], out=terms[1:])
+            memo[2] = np.add.reduce(terms, axis=0)
+        return memo[2].copy()
 
     def value(self, x):
-        x = as_vector(x, self.problem.n1, "x")
-        return self._value(x, self._solutions(x))
+        return self._value(*self._memo(x))
 
     def subgrad(self, x):
-        x = as_vector(x, self.problem.n1, "x")
-        return self._subgrad(x, self._solutions(x))
+        return self._subgrad(*self._memo(x))
 
     def value_and_subgrad(self, x):
-        x = as_vector(x, self.problem.n1, "x")
-        rows = self._solutions(x)
-        return self._value(x, rows), self._subgrad(x, rows)
+        x, memo = self._memo(x)
+        return self._value(x, memo), self._subgrad(x, memo)

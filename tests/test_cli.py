@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +225,18 @@ def test_main_solve_and_exit_codes(tmp_path, instance_path, capsys):
     code = main(["solve", "--instance", instance_path, "--solver", "sgd",
                  "--config", str(bad_cfg), "--out", str(tmp_path / "out4")])
     assert code == 2
+
+
+def test_module_entry_point_runs_main_without_a_warning(tmp_path, instance_path):
+    """``python -m scsopt`` is the command line for users without the console script."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "scsopt", "solve", "--instance",
+         instance_path, "--solver", "extensive", "--out", str(tmp_path / "m")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0 and "Warning" not in run.stderr
+    assert "f_star=" in run.stdout and (tmp_path / "m" / "extensive_rep000.csv").is_file()
 
 
 def test_main_compare(tmp_path, instance_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from instances import scenario_subgrad
-from scsopt.exceptions import RecourseInfeasible
+from scsopt.exceptions import DimensionMismatch, RecourseInfeasible
 from scsopt.model import (
     Discrete,
     RandomEntry,
@@ -561,3 +561,113 @@ def test_shared_technology_right_hand_sides_match_the_batched_path(quadratic, se
         assert rows[:, 0].tobytes() == rows_batched[:, 0].tobytes()
         np.testing.assert_allclose(rows[:, 1:], rows_batched[:, 1:], rtol=1e-14, atol=1e-14)
     assert screened[F] == screened[F_batched]
+
+
+def covered(S, keep):
+    """The draws of S whose atoms are in ``keep``, each weighted 1/n."""
+    at = np.flatnonzero(np.isin(S.atoms, list(keep)))
+    return ScenarioSet.from_arrays(S.xi[at], S.C[at], np.full(at.size, 1.0 / at.size), S.atoms[at])
+
+
+def spied(monkeypatch):
+    """Counts of ``_screen`` and ``solve_recourse`` calls from here on."""
+    calls = {"screen": 0, "solve": 0}
+    screen = SaaFunction._screen
+
+    def counted_screen(self, R, start):
+        calls["screen"] += 1
+        return screen(self, R, start)
+
+    def counted_solve(*args, **kw):
+        calls["solve"] += 1
+        return solve_recourse(*args, **kw)
+
+    monkeypatch.setattr(SaaFunction, "_screen", counted_screen)
+    monkeypatch.setattr("scsopt.oracle.solve_recourse", counted_solve)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), tech=st.booleans(), quadratic=st.booleans())
+def test_siblings_gather_the_rows_the_family_settled_at_a_point(seed, tech, quadratic):
+    """After F_S evaluates x, a sibling whose every atom F_S settled by the screen
+    there reads those rows: no screen, no scalar solve, and the bits of a fill
+    with the row table empty.  An atom F_S lacks, or one whose row a scalar
+    solve gave, makes the sibling fill."""
+    p = discrete_problem(seed, tech, quadratic)
+    rng = np.random.default_rng(seed + 5)
+    drawn = draw_scenarios(p, substream(seed, "grow", 0), int(rng.integers(20, 60)))
+    lacking = int(drawn.atoms[0])  # an atom F_S never draws
+    F = SaaFunction(p, covered(drawn, set(drawn.atoms.tolist()) - {lacking}))
+    x0 = rng.normal(size=p.n1)
+    F.value_and_subgrad(x0)  # pools the cells the later points screen with
+    x = x0 + 1e-3 * rng.normal(size=p.n1)
+    F.value_and_subgrad(x)
+    atoms, alone = F.scenarios.atoms.tolist(), F._cells["rows"][x.tobytes()][2]
+    settled = {a for i, a in enumerate(atoms) if i not in alone}  # with other rows, by the screen
+    test = draw_scenarios(p, substream(seed, "test_set", 0), 40)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spied(mp)
+        if settled & set(test.atoms.tolist()):
+            T = F.sibling(covered(test, settled))
+            f, g = T.value_and_subgrad(x)
+            # Draws sharing one C where F's do not take the other right-hand
+            # side product, and a single row numpy's matrix-vector products,
+            # whose last bits differ: those fill.
+            fills = T._shared_C != F._shared_C or len(T.scenarios) == 1
+            assert calls == {"screen": int(fills), "solve": 0}
+            calls.update(screen=0)
+            ref = F.sibling(T.scenarios)
+            ref._cells = dict(F._cells, rows={})  # the same cells, no rows to read
+            f_ref, g_ref = ref.value_and_subgrad(x)
+            assert calls["screen"] > 0 and calls["solve"] == 0
+            assert f == f_ref and g.tobytes() == g_ref.tobytes()
+            want_f, want_g = per_scenario_sum(p, T.scenarios, x)
+            np.testing.assert_allclose(f, want_f, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(g, want_g, rtol=1e-12, atol=1e-12)
+        # The first fill of a family starts with an empty cell table, so x0's
+        # first row came from a scalar solve.
+        alone = F._cells["rows"][x0.tobytes()][2]
+        assert 0 in alone
+        settled_x0 = {a for i, a in enumerate(atoms) if i not in alone}
+        support = enumerate_support(p)
+        for point, keep in ((x, settled | {lacking}), (x0, settled_x0 | {atoms[0]})):
+            calls.update(screen=0, solve=0)
+            F.sibling(covered(support, keep)).value(point)
+            assert calls["screen"] + calls["solve"] > 0
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+def test_memoized_results_are_returned_as_copies_and_need_no_fill(quadratic, monkeypatch):
+    p = discrete_problem(17, tech=True, quadratic=quadratic)
+    F = SaaFunction(p, draw_scenarios(p, substream(17, "grow", 0), 30))
+    x = np.random.default_rng(17).normal(size=p.n1)
+    f, g = F.value_and_subgrad(x)
+    want = g.copy()
+    g[:] = np.nan
+    F.subgrad(x)[:] = np.nan
+    fills = []
+    fill = SaaFunction._fill
+    monkeypatch.setattr(SaaFunction, "_fill", lambda self, *a: fills.append(1) or fill(self, *a))
+    assert F.value(x) == f
+    assert F.subgrad(x).tobytes() == want.tobytes()
+    assert F.value_and_subgrad(list(x))[1].tobytes() == want.tobytes()
+    assert fills == []
+    rows = F._solutions(x)
+    assert rows.shape == (len(F.scenarios), 1 + p.n1)
+    assert np.dot(F.scenarios.weights, rows[:, 0]) + p.first_stage_cost(x) == pytest.approx(f, rel=1e-14)
+
+
+def test_points_are_checked_for_length_and_finiteness():
+    p = random_problem(3, tech=False)
+    F = SaaFunction(p, draw_scenarios(p, substream(3, "grow", 0), 5))
+    x = np.zeros(p.n1)
+    with pytest.raises(DimensionMismatch):
+        F.value(np.zeros(p.n1 + 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        x[-1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            F.subgrad(x)
+    x[-1] = 0.5
+    f, g = F.value_and_subgrad(x)
+    assert F.value(list(x)) == f and F.subgrad(x[:, None]).tobytes() == g.tobytes()

@@ -354,6 +354,21 @@ def test_replication_sample_is_drawn_only_past_the_radius_test(monkeypatch):
     assert len(built) == passed
 
 
+@pytest.mark.parametrize("fixtures", [sqlp_fixtures, sqqp_fixtures])
+def test_back_to_back_iid_fits_on_one_problem_are_byte_equal(fixtures):
+    """No oracle state outlives a fit: the cell table and the rows its oracles
+    share live in the fit's own oracle family, so refitting the same problem
+    object with the same seed repeats every record and the point bit for bit.
+    On sqlp_c the fit's siblings gather rows; on sqqp_c, a cell table kept per
+    problem would screen rows the first fit solved, to other last bits."""
+    fx = fixtures()[2]
+    params = dict(iid_params(), sampling="iid", seed=5)
+    first, second = _fit(fx.problem, params), _fit(fx.problem, params)
+    assert first.n_iter_ > 1 and any(r.accepted for r in first.history_)
+    assert _records(first) == _records(second)
+    assert first.x_.tobytes() == second.x_.tobytes()
+
+
 def test_zero_cap_rejects_the_iteration_and_the_fit_still_stops_by_a_norm_rule(monkeypatch):
     """When ``step_cap`` finds no positive step, the iteration records a zero cap,
     runs no line search, is rejected with the radius shrunk, and the fit goes on."""
