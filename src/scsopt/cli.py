@@ -74,19 +74,19 @@ def load_instance(path, fmt="auto", seed=0):
     raise ValueError(f"unknown instance format {fmt!r}")
 
 
-def _evaluation_function(problem, seed, eval_sample_size):
+def _evaluation_function(problem, seed, eval_sample_size, parent):
     """Held-out objective estimate on a fixed evaluation sample.
 
     Uses the exact finite support when it is no larger than the requested
     sample size, otherwise a fresh fixed i.i.d. sample from the 'eval'
-    substream.
+    substream.  Its oracle is a sibling of ``parent``, the f* solve's, if any.
     """
     size = problem.support_size()
     if size is not None and size <= eval_sample_size:
         scenarios = model.enumerate_support(problem)
     else:
         scenarios = model.draw_scenarios(problem, substream(seed, "eval"), eval_sample_size)
-    F = oracle.SaaFunction(problem, scenarios)
+    F = oracle.SaaFunction(problem, scenarios) if parent is None else parent.sibling(scenarios)
     return F.value
 
 
@@ -98,16 +98,16 @@ def _extensive_entries(problem, size):
 
 
 def _extensive_optimum(problem):
-    """Extensive-form optimum over the support, or None without one or past _EXTENSIVE_ENTRIES."""
+    """(f*, its solve's oracle or None) over the support; None without one or past _EXTENSIVE_ENTRIES."""
     size = problem.support_size()
     if size is None or _extensive_entries(problem, size) > _EXTENSIVE_ENTRIES:
         return None
-    support = model.enumerate_support(problem)
-    sol = model.extensive_form(problem, support).solve()
+    program = model.extensive_form(problem, model.enumerate_support(problem))
+    sol = program.solve()
     if sol.status != "optimal":
         raise UnsupportedSolverForInstance(
             f"extensive form ended with status {sol.status!r}")
-    return float(sol.value)
+    return float(sol.value), program.oracle
 
 
 def _build_solver(config, rep_seed, eval_fn):
@@ -129,12 +129,13 @@ def run_experiment(config, log=None):
     problem, _sampler = load_instance(config.instance, config.fmt, seed=config.seed)
     os.makedirs(config.out_dir, exist_ok=True)
 
-    f_star = _extensive_optimum(problem)
-    if f_star is None and config.solver == "extensive":
+    optimum = _extensive_optimum(problem)
+    if optimum is None and config.solver == "extensive":
         raise UnsupportedSolverForInstance(
             f"extensive form needs a finite support of at most {_EXTENSIVE_ENTRIES} dense entries")
+    f_star, f_star_oracle = optimum or (None, None)
 
-    eval_fn = _evaluation_function(problem, config.seed, config.eval_sample_size)
+    eval_fn = _evaluation_function(problem, config.seed, config.eval_sample_size, f_star_oracle)
 
     csv_paths = []
     histories = []

@@ -1,4 +1,4 @@
-"""Dense null-space bases and the Euclidean projection onto a polyhedral set.
+"""One SVD per face {Mz = r}, and the Euclidean projection onto a polyhedral set.
 
 Feasible directions for an equality-constrained problem {x : Ax = b} live in
 null(A).  An orthonormal basis Z of that null space turns Z Z' into an exact
@@ -7,7 +7,7 @@ precision and projection is idempotent; everything downstream leans on those
 two identities.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,15 +16,24 @@ from .base import as_lower_bounds, as_matrix, as_vector
 from .exceptions import DimensionMismatch, InfeasibleRegion
 
 
-@dataclass(frozen=True)
-class NullSpaceBasis:
-    """Orthonormal columns Z spanning null(A), so that Z Z' is the orthogonal projector."""
+class _Face(NamedTuple):
+    """A factored face {M z = r}: Z spans null(M), pinv is M^+, cond is M's on its rank."""
 
-    Z: np.ndarray
+    Z: np.ndarray  # orthonormal columns
+    pinv: np.ndarray  # pinv @ r is the least-change p with M p = r (least squares off the range)
+    cond: float  # the largest singular value over the smallest kept; 1.0 at rank 0
+
+
+def _face(M):
+    """The face of M by one SVD, with the package's one rank rule: sig > 1e-10 max(sig)."""
+    U, sig, Vt = np.linalg.svd(M)
+    k = int(np.sum(sig > 1e-10 * sig.max(initial=0.0)))
+    pinv = Vt[:k].T @ (U[:, :k].T / sig[:k, None])
+    return _Face(Vt[k:].T.copy(), pinv, sig[0] / sig[k - 1] if k else 1.0)
 
 
 def null_space_basis(A):
-    """Orthonormal basis of {d : A d = 0} via a rank-revealing SVD.
+    """(n, k) array of orthonormal columns spanning {d : A d = 0}, by ``_face``'s SVD.
 
     The rank counts the singular values above 1e-10 times the largest.
     When A has full column rank the basis has zero columns: {Ax = b} is a
@@ -34,31 +43,27 @@ def null_space_basis(A):
     m, n = A.shape
     if m < 1 or n < 1:
         raise DimensionMismatch("A must have at least one row and one column")
-    _, sig, Vt = np.linalg.svd(A)
-    smax = float(sig[0]) if sig.size else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sig > 1e-10 * smax))
-    return NullSpaceBasis(Vt[rank:].T.copy())
+    return _face(A).Z
 
 
 def project_null(Z, v):
-    """Z Z' v for a float vector v with one entry per row of Z: its component in span(Z)."""
-    return Z.Z @ (Z.Z.T @ v)
+    """Z Z' v for the (n, k) basis Z and a vector v of n floats: its component in span(Z)."""
+    return Z @ (Z.T @ v)
 
 
 def project_polyhedral(A, b, lower_bounds, x):
     """Euclidean projection of x onto {Az = b, z >= lower_bounds}; None bounds mean -inf.
 
-    A try pins z_W = lb_W and projects x_F onto the rest of {Az = b}; the
-    first pins nothing, so it is the affine projection.  A try is returned
-    once it passes ``qpsolve.kkt_holds``.  Else W takes a primal-dual
-    active-set step (Hintermueller, Ito and Kunisch, 2002): keep the pins
-    with mu >= 0 and pin the free entry furthest below its bound.  A
-    singular face, pins that stop moving or 1 + n failed tries hand the QP
-    min ||z - x||^2 to the active-set engine, which also copes with
-    redundant rows.
+    A try pins z_W = lb_W and projects x_F onto the rest of {Az = b} by one
+    SVD of A_F (``_face``): the step is the least-change solution of A_F p =
+    A_F x_F - (b - A_W lb_W), so the point is good to about eps cond(A_F),
+    and redundant consistent rows need nothing special.  The first try pins
+    nothing, so it is the affine projection.  A try is returned once it
+    passes ``qpsolve.kkt_holds``.  Else W takes a primal-dual active-set
+    step (Hintermueller, Ito and Kunisch, 2002): keep the pins with mu >= 0
+    and pin the free entry furthest below its bound.  A face with cond(A_F)
+    above 1e7, pins that stop moving or 1 + n failed tries hand the QP
+    min ||z - x||^2 to the active-set engine.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, A.shape[0], "b")
@@ -69,14 +74,14 @@ def project_polyhedral(A, b, lower_bounds, x):
     W = np.zeros(x.size, dtype=bool)
     for _ in range(x.size + 1):
         F = ~W
-        AF = A.compress(F, axis=1)  # C order like A: W empty gives the affine formula bit for bit
-        G = AF @ AF.T
-        cond = np.linalg.cond(G)
-        if not np.isfinite(cond) or cond > 1e14:
-            break  # a singular face
-        lam = np.linalg.solve(G, AF @ x[F] - (b - A[:, W] @ lb[W]))
+        AF = A[:, F]
+        face = _face(AF)
+        if face.cond > 1e7:
+            break
+        step = face.pinv @ (AF @ x[F] - (b - A[:, W] @ lb[W]))
+        lam = face.pinv.T @ step  # the least-norm lam with A_F' lam = step: the row multipliers
         z = np.where(W, lb, x)
-        z[F] = x[F] - AF.T @ lam
+        z[F] = x[F] - step
         mu = z - x + A.T @ lam  # the bound multipliers; zero on F up to rounding
         if qpsolve.kkt_holds(A, b, lb, z, F, z - x, np.where(F, mu, 0.0), np.where(W, mu, 0.0)):
             return z

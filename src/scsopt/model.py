@@ -351,7 +351,8 @@ class DeterministicProgram:
 
     A program with quadratic recourse, and every hand-off, is solved whole
     in the block-structured form: the revised simplex for an LP, the
-    active-set solve for a QP.
+    active-set solve for a QP.  ``oracle`` is the ``SaaFunction`` a decomposed
+    solve built over the scenarios (None before one), for siblings to share.
     """
 
     def __init__(self, problem, scenarios):
@@ -361,6 +362,7 @@ class DeterministicProgram:
         self.problem = problem
         self.scenarios = scenarios
         self.is_lp = (not problem.quadratic_recourse) and np.abs(problem.Q).max(initial=0.0) == 0.0
+        self.oracle = None
 
     def solve(self):
         sol = None if self.problem.quadratic_recourse else self._decomposed_solve()
@@ -371,7 +373,7 @@ class DeterministicProgram:
         from . import oracle
 
         p = self.problem
-        F = oracle.SaaFunction(p, self.scenarios)
+        F = self.oracle = oracle.SaaFunction(p, self.scenarios)
         w = F.scenarios.weights
         N, n1 = w.size, p.n1
         lb = np.concatenate([np.full(n1, -np.inf) if p.lower_bounds is None else p.lower_bounds,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simplex
+from . import linalg, simplex
 from .exceptions import NumericalBreakdown
 
 OPTIMAL = "optimal"
@@ -36,14 +36,6 @@ class QpResult:
     working_set: np.ndarray | None
     iterations: int
     phase1_basis: np.ndarray | None = None  # reusable warm start for feasibility LPs
-
-
-def _null_basis(M):
-    """Orthonormal basis of null(M) for a possibly rank-deficient M."""
-    _, sig, Vt = np.linalg.svd(M)
-    smax = sig[0] if sig.size else 0.0
-    rank = int(np.sum(sig > 1e-11 * max(smax, 1.0)))
-    return Vt[rank:].T.copy()
 
 
 def solve_qp(H, g, A, b, lb, phase1_basis=None, start=None):
@@ -83,8 +75,8 @@ def solve_qp(H, g, A, b, lb, phase1_basis=None, start=None):
         free = ~working
         idx_f = np.flatnonzero(free)
         grad = H @ x + g
-        A_f = A[:, idx_f]
-        N = _null_basis(A_f)
+        face = linalg._face(A[:, idx_f])
+        N = face.Z
         p = np.zeros(n)
         ray = False
         if N.shape[1] > 0:
@@ -109,7 +101,7 @@ def solve_qp(H, g, A, b, lb, phase1_basis=None, start=None):
         step_scale = 1.0 + float(np.abs(x).max(initial=0.0))
         if not ray and np.abs(p).max(initial=0.0) <= 1e-11 * step_scale:
             # Stationary on the working set: check multipliers.
-            pi, mu = _multipliers(H, g, A, x, idx_f, working)
+            pi, mu = _multipliers(A, grad, working, face)
             mu_min = mu[working].min(initial=0.0) if working.any() else 0.0
             if mu_min >= -1e-8 * (1.0 + float(np.abs(grad).max(initial=0.0))):
                 return _finish(H, g, A, b, lb, x, working, it, phase1_basis)
@@ -139,12 +131,10 @@ def solve_qp(H, g, A, b, lb, phase1_basis=None, start=None):
     raise NumericalBreakdown("active-set QP iteration limit reached")
 
 
-def _multipliers(H, g, A, x, idx_f, working):
-    grad = H @ x + g
-    pi, *_ = np.linalg.lstsq(A[:, idx_f].T, grad[idx_f], rcond=None)
-    mu = grad - A.T @ pi
-    mu = np.where(working, mu, 0.0)
-    return pi, mu
+def _multipliers(A, grad, working, face):
+    """(pi, mu): the least-norm pi with A_F' pi = grad_F from the face of A_F, and grad - A' pi on W."""
+    pi = face.pinv.T @ grad[~working]
+    return pi, np.where(working, grad - A.T @ pi, 0.0)
 
 
 def kkt_holds(A, b, lb, x, free, grad, stat, mu):
@@ -186,7 +176,7 @@ def _finish(H, g, A, b, lb, x, working, iters, phase1_basis):
     if not kkt_holds(A, b, lb, x_try, idx_f, grad, stat, mu):
         # Keep the iterate the loop certified instead of a failed polish.
         x_try = x_out
-        pi, mu = _multipliers(H, g, A, x_try, idx_f, working)
+        pi, mu = _multipliers(A, H @ x_try + g, working, linalg._face(A[:, idx_f]))
     mu = np.maximum(mu, 0.0)
     obj = float(0.5 * x_try @ H @ x_try + g @ x_try)
     return QpResult(OPTIMAL, x_try, obj, pi, mu, working.copy(), iters, phase1_basis)

@@ -114,11 +114,11 @@ def bundle_norm(Z, G, active):
     """min ||Z Z'(G'lam - sum_{i in active} mu_i e_i)|| over lam on the unit simplex, mu >= 0.
 
     The distance from 0 to the hull of the subgradient rows of G plus the normal
-    cone of the active lower bounds, inside null(A) for the NullSpaceBasis Z, by
-    Wolfe's (1976) nearest-point loop.  Every iterate is feasible, so the norm
-    returned bounds the minimum from above.
+    cone of the active lower bounds, inside null(A) for its (n, k) orthonormal
+    basis Z, by Wolfe's (1976) nearest-point loop.  Every iterate is feasible,
+    so the norm returned bounds the minimum from above.
     """
-    M = np.hstack([Z.Z.T @ G.T, -Z.Z[sorted(active)].T])  # ||Z Z'v|| = ||Z'v||
+    M = np.hstack([Z.T @ G.T, -Z[sorted(active)].T])  # ||Z Z'v|| = ||Z'v||
     hull = np.arange(M.shape[1]) < len(G)
     sq = np.einsum("ij,ij->j", M, M)
     z = (np.arange(M.shape[1]) == np.argmin(np.where(hull, sq, np.inf))).astype(float)
@@ -341,9 +341,11 @@ class ScsSolver(ParamsMixin):
     Attributes set by fit: ``x_``, ``history_``, ``diagnostics_``,
     ``trial_points_``, ``converged_``, ``status_``, ``n_iter_``, ``kappa_``,
     ``null_space_``, ``f_in_sample_``, ``d_norm_``.  ``status_`` is
-    "converged" (a norm rule stopped the fit) or "max_iter".  A single-point
-    feasible set has a ``null_space_`` with no columns: its first direction
-    is zero, so it stops "converged" at k = 1.
+    "converged" (a norm rule stopped the fit) or "max_iter".
+    ``null_space_`` is the (n1, k) array ``linalg.null_space_basis(A)``,
+    whose rank counts the singular values of A above 1e-10 of the largest.
+    A single-point feasible set has a ``null_space_`` with no columns: its
+    first direction is zero, so it stops "converged" at k = 1.
     """
 
     def __init__(self, eps=1e-3, eta2=0.1, delta0=1.0, delta_max=100.0, delta_min=None,
@@ -418,9 +420,7 @@ class ScsSolver(ParamsMixin):
         if not active:
             return x
         M, idx = _face_rows(problem, active)
-        r = M @ x - np.concatenate([problem.b, problem.lower_bounds[idx]])
-        corr, *_ = np.linalg.lstsq(M, r, rcond=None)
-        z = x - corr
+        z = x - linalg._face(M).pinv @ (M @ x - np.concatenate([problem.b, problem.lower_bounds[idx]]))
         z[idx] = problem.lower_bounds[idx]
         return z
 

@@ -12,8 +12,10 @@ from instances import make_two_stage
 from scsopt import cli, simplex
 from scsopt.cli import RunConfig, compare, load_instance, main, parse_config_file, run_experiment
 from scsopt.exceptions import MismatchedInstances, UnsupportedSolverForInstance
-from scsopt.model import DeterministicProgram, Discrete, RandomEntry, TwoStageProblem, enumerate_support, extensive_form
+from scsopt.model import (DeterministicProgram, Discrete, RandomEntry, TwoStageProblem, enumerate_support,
+                          extensive_form, initial_feasible_point)
 from scsopt.native import write_native
+from scsopt.oracle import solve_recourse
 from scsopt.records import read_history_csv, write_history_csv
 
 
@@ -84,6 +86,20 @@ def test_lands_extensive_optimum_by_cuts_equals_the_dense_one(tmp_path, monkeypa
     monkeypatch.setattr(DeterministicProgram, "solve", DeterministicProgram._dense_solve)
     assert summary("dense") == by_cuts
     assert by_cuts.startswith(b"# f_star=202.85399999999998\n")
+
+
+def test_evaluation_oracle_starts_from_the_f_star_solves_cells(monkeypatch):
+    # The f* decomposition filled its oracle at the start point, so a sibling
+    # over the same support settles every row there from the shared cells.
+    problem, _ = load_instance("instances/lands_toy.cor")
+    f_star, parent = cli._extensive_optimum(problem)
+    x0 = initial_feasible_point(problem)
+    fresh = cli._evaluation_function(problem, 0, 10_000, None)(x0)
+    calls = []
+    monkeypatch.setattr("scsopt.oracle.solve_recourse",
+                        lambda *a, **kw: calls.append(1) or solve_recourse(*a, **kw))
+    shared = cli._evaluation_function(problem, 0, 10_000, parent)(x0)
+    assert calls == [] and shared == pytest.approx(fresh, rel=1e-12) and shared > f_star
 
 
 def test_extensive_rejects_infinite_support(tmp_path):

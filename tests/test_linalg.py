@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,22 +12,21 @@ from scsopt.linalg import null_space_basis, project_null, project_polyhedral
 
 def test_one_row_null_space():
     Z = null_space_basis([[1.0, 1.0]])
-    assert Z.Z.shape == (2, 1)
-    v = Z.Z[:, 0]
+    assert Z.shape == (2, 1)
+    v = Z[:, 0]
     np.testing.assert_allclose(abs(v), np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-12)
 
 
 def test_full_column_rank_gives_a_zero_column_basis():
     basis = null_space_basis(np.eye(2))
-    assert basis.Z.shape == (2, 0)
+    assert basis.shape == (2, 0)
     np.testing.assert_array_equal(project_null(basis, np.array([3.0, -4.0])), [0.0, 0.0])
 
 
 def test_random_full_row_rank_identities():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(3, 6))
-    basis = null_space_basis(A)
-    Z = basis.Z
+    Z = null_space_basis(A)
     assert Z.shape == (6, 3)
     assert np.abs(A @ Z).max() <= 1e-10 * (1.0 + np.abs(A).max())
     np.testing.assert_allclose(Z.T @ Z, np.eye(3), atol=1e-10)
@@ -35,7 +36,7 @@ def test_project_null_fixes_range_and_kills_complement():
     rng = np.random.default_rng(1)
     A = rng.normal(size=(2, 5))
     basis = null_space_basis(A)
-    w = basis.Z @ rng.normal(size=basis.Z.shape[1])
+    w = basis @ rng.normal(size=basis.shape[1])
     np.testing.assert_allclose(project_null(basis, w), w, atol=1e-12)
     v_perp = A.T @ rng.normal(size=2)
     np.testing.assert_allclose(project_null(basis, v_perp), 0.0, atol=1e-10)
@@ -91,11 +92,13 @@ class TestProjectAffine:
         z = project_polyhedral(A, b, None, x)
         assert np.abs(A @ z - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
         # residual must be orthogonal to null(A)
-        Z = null_space_basis(A).Z
+        Z = null_space_basis(A)
         assert np.abs(Z.T @ (z - x)).max() <= 1e-10
 
-    def test_singular_system(self):
-        # Redundant consistent rows: AA' is singular, the projection is not.
+    def test_singular_system(self, monkeypatch):
+        # Redundant consistent rows: AA' is singular, the projection is not,
+        # and the face's SVD settles it without the QP.
+        monkeypatch.setattr(qpsolve, "solve_qp", no_qp)
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         np.testing.assert_allclose(
             project_polyhedral(A, [1.0, 1.0], None, [0.0, 0.0]), [0.5, 0.5], atol=1e-12)
@@ -128,6 +131,23 @@ def no_qp(*args, **kwargs):
     raise AssertionError("the cold QP ran")
 
 
+def exact_affine_projection(A, b, x):
+    """x - A'(AA')^{-1}(Ax - b) in exact rational arithmetic on the given floats, rounded once."""
+    A = [[Fraction(a) for a in row] for row in A.tolist()]
+    x = [Fraction(v) for v in x.tolist()]
+    m = len(A)
+    G = [[sum(p * q for p, q in zip(A[i], A[j])) for j in range(m)] for i in range(m)]
+    y = [sum(p * q for p, q in zip(A[i], x)) - Fraction(b[i]) for i in range(m)]
+    for k in range(m):  # Gauss-Jordan; AA' is positive definite, so no pivot is zero
+        for i in range(m):
+            if i != k:
+                f = G[i][k] / G[k][k]
+                G[i] = [gi - f * gk for gi, gk in zip(G[i], G[k])]
+                y[i] -= f * y[k]
+    lam = [y[i] / G[i][i] for i in range(m)]
+    return np.array([float(x[j] - sum(A[i][j] * lam[i] for i in range(m))) for j in range(len(x))])
+
+
 class TestProjectPolyhedral:
     def test_interior_point_fixed(self):
         A = np.array([[1.0, 1.0, 1.0]])
@@ -139,15 +159,26 @@ class TestProjectPolyhedral:
         z = project_polyhedral([[1.0, 1.0]], [1.0], [0.0, 0.0], [2.0, -2.0])
         np.testing.assert_allclose(z, [1.0, 0.0], atol=1e-8)
 
-    def test_reduces_to_affine_without_bounds(self):
-        # Bit for bit x - A'(AA')^{-1}(Ax - b): no bound, so nothing is pinned.
+    def test_reduces_to_affine_without_bounds(self, monkeypatch):
+        # No bound, so nothing is pinned: the first try is the affine projection
+        # x - A'(AA')^{-1}(Ax - b), within 1e-14 cond(A) of its exact value
+        # relative to 1 + |z|, for near-parallel rows with cond(A) in 1e2-1e6.
+        monkeypatch.setattr(qpsolve, "solve_qp", no_qp)
         rng = np.random.default_rng(3)
-        A = rng.normal(size=(2, 5))
-        b = rng.normal(size=2)
-        x = rng.normal(size=5)
-        expected = x - A.T @ np.linalg.solve(A @ A.T, A @ x - b)
-        for lb in (None, np.full(5, -np.inf)):
-            np.testing.assert_array_equal(project_polyhedral(A, b, lb, x), expected)
+        cases = 0
+        while cases < 200:
+            m = int(rng.integers(2, 4))
+            A = rng.normal(size=(m, 6))
+            A[1] = A[0] + 10.0 ** -rng.uniform(1.0, 6.5) * rng.normal(size=6)
+            cond = np.linalg.cond(A)
+            if not 1e2 <= cond <= 1e6:
+                continue
+            cases += 1
+            b, x = rng.normal(size=m), rng.normal(size=6)
+            z = project_polyhedral(A, b, None, x)
+            np.testing.assert_array_equal(project_polyhedral(A, b, np.full(6, -np.inf), x), z)
+            err = np.abs(z - exact_affine_projection(A, b, x)).max()
+            assert err <= 1e-14 * cond * (1.0 + np.abs(z).max())
 
     def test_kkt_residual_random(self):
         rng = np.random.default_rng(11)
@@ -200,7 +231,8 @@ def test_warm_projection_matches_cold(seed, case):
     A = rng.normal(size=(m, n))
     x = rng.uniform(0.5, 3.0) * rng.normal(size=n)
     if case == "redundant":
-        # A repeated row: the first face, with nothing pinned, is singular.
+        # A repeated row: every face has a redundant row, which the face's
+        # SVD drops by its rank instead of handing the face to the QP.
         A[m - 1] = A[0]
     elif case == "ill_face":
         # Two rows that differ only in columns p and q, with opposite signs:

@@ -157,7 +157,7 @@ def test_single_point_stops_by_the_norm_rule(sampling, b, lower_bounds):
     assert s.status_ == "converged" and s.converged_
     assert s.n_iter_ == 1 and len(s.history_) == 1
     assert s.diagnostics_[-1].ls_reason == "terminated"
-    assert s.null_space_.Z.shape == (2, 0)
+    assert s.null_space_.shape == (2, 0)
     assert s.d_norm_ == 0.0
     np.testing.assert_array_equal(s.x_, b)
 

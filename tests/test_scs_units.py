@@ -94,7 +94,7 @@ class TestConjugateDirection:
 def _slsqp_bundle_norm(Z, G, active, rng):
     """Reference min ||Z'(G'lam - E_W mu)|| by SLSQP, best of three starts."""
     idx = sorted(active)
-    M = np.hstack([Z.Z.T @ G.T, -Z.Z[idx].T])
+    M = np.hstack([Z.T @ G.T, -Z[idx].T])
     a = np.concatenate([np.ones(len(G)), np.zeros(len(idx))])
     best = np.inf
     for _ in range(3):
