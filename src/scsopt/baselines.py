@@ -17,15 +17,14 @@ from .rng import substream
 
 
 class _BaselineSolver(ParamsMixin):
-    averaging_default = "last"
+    uniform_average = False  # report the uniform average of the iterates, not the last
 
-    def __init__(self, c=None, batch=8, iters=200, seed=0, averaging=None,
-                 eval_fn=None, eval_every=1, record_wall_time=True):
+    def __init__(self, c=None, batch=8, iters=200, seed=0, eval_fn=None, eval_every=1,
+                 record_wall_time=True):
         self.c = c
         self.batch = batch
         self.iters = iters
         self.seed = seed
-        self.averaging = averaging
         self.eval_fn = eval_fn
         self.eval_every = eval_every
         self.record_wall_time = record_wall_time
@@ -35,12 +34,9 @@ class _BaselineSolver(ParamsMixin):
             raise ValueError("c must be positive")
         if self.batch < 1 or self.iters < 1:
             raise ValueError("batch and iters must be >= 1")
-        if (self.averaging or self.averaging_default) not in ("last", "uniform"):
-            raise ValueError("averaging must be 'last' or 'uniform'")
 
     def fit(self, problem):
         self._validate()
-        averaging = self.averaging or self.averaging_default
         x = model.initial_feasible_point(problem)
         lb = problem.lower_bounds
         base = self._base_step(problem, x)
@@ -54,7 +50,7 @@ class _BaselineSolver(ParamsMixin):
             alpha = base / np.sqrt(k)
             x = linalg.project_polyhedral(problem.A, problem.b, lb, x - alpha * g)
             x_sum += x
-            rep = x_sum / (k + 1) if averaging == "uniform" else x
+            rep = x_sum / (k + 1) if self.uniform_average else x
             f_S = F.value(rep)
             f_eval = scheduled_eval(self, rep, k, final=k == self.iters)
             wall = (time.perf_counter() - tic) * 1e3 if self.record_wall_time else 0.0
@@ -62,7 +58,7 @@ class _BaselineSolver(ParamsMixin):
                 k=k, f_S=f_S, f_eval=f_eval, d_norm=float(np.linalg.norm(g)),
                 delta=0.0, sample_size=self.batch, step_t=alpha, accepted=True,
                 wall_ms=wall))
-        self.x_ = x_sum / (self.iters + 1) if averaging == "uniform" else x
+        self.x_ = x_sum / (self.iters + 1) if self.uniform_average else x
         self.n_iter_ = self.iters
         self.status_ = "max_iter"
         self.converged_ = False
@@ -75,10 +71,9 @@ class SgdSolver(_BaselineSolver):
     alpha_k is ``c / sqrt(k)``; when c is None, c is set from a pilot
     estimate of domain radius over subgradient norm.  g_k is a batch
     sample-average subgradient; proj is the Euclidean projection onto
-    {Ax = b} intersected with the lower bounds when present.
+    {Ax = b} intersected with the lower bounds when present.  The fit
+    reports the last iterate.
     """
-
-    averaging_default = "last"
 
     def _base_step(self, problem, x0):
         """c, or a pilot estimate of domain radius over subgradient norm at x0."""
@@ -95,16 +90,16 @@ class SmdSolver(_BaselineSolver):
     c / (G_bound sqrt(k)); ``G_bound`` is the user-supplied bound on the
     subgradient norm the method requires up front, and ``c`` absorbs the
     domain-diameter constant of the step policy (None takes 1 + ||x0||, x0
-    the starting point).  Uniform iterate averaging is the default
-    representative point.
+    the starting point).  The fit reports the uniform average of the
+    iterates.
     """
 
-    averaging_default = "uniform"
+    uniform_average = True
 
-    def __init__(self, c=None, G_bound=1.0, batch=8, iters=200, seed=0, averaging=None,
-                 eval_fn=None, eval_every=1, record_wall_time=True):
-        super().__init__(c=c, batch=batch, iters=iters, seed=seed, averaging=averaging,
-                         eval_fn=eval_fn, eval_every=eval_every, record_wall_time=record_wall_time)
+    def __init__(self, c=None, G_bound=1.0, batch=8, iters=200, seed=0, eval_fn=None,
+                 eval_every=1, record_wall_time=True):
+        super().__init__(c=c, batch=batch, iters=iters, seed=seed, eval_fn=eval_fn,
+                         eval_every=eval_every, record_wall_time=record_wall_time)
         self.G_bound = G_bound
 
     def _validate(self):

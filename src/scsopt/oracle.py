@@ -191,15 +191,11 @@ class SaaFunction:
     Siblings, the oracles of one fit, also share a table of filled rows
     keyed by point, for the last ``_ROW_TABLE_LIMIT`` points filled.  At
     each point it holds the last fill over at least as many rows as the one
-    before, by reference: the filling oracle's map from atom index to row,
-    its row array, and the rows it settled alone.  A row is settled alone
-    by a scalar solve, or by a screen pass that settled no other row, where
-    numpy takes matrix-vector products that round differently from the
-    matrix products of a wider pass.  An oracle of two or more rows, with
-    an atom index and the same kind of right-hand side (C shared or not),
-    whose every atom has a row there not settled alone, gathers those rows
-    and does not fill: its own fill would settle them all in its first
-    pass, by the same cells in the same order, to the same bits.
+    before, by reference: the filling oracle's map from atom index to row
+    and its row array.  An oracle with an atom index whose every atom has a
+    row there gathers those rows and does not fill.  A gathered row may
+    differ in the last bits from the one the oracle's own fill would give:
+    a scalar solve, or a pass over one column, rounds unlike a wider pass.
     """
 
     def __init__(self, problem, scenarios):
@@ -343,14 +339,12 @@ class SaaFunction:
 
     def _gather(self, key):
         """The rows at the point ``key`` from the family's table, or None if one lacks."""
-        entry = self._cells["rows"].get(key) if self._row_of and len(self._row_of) > 1 else None
-        if entry is None or entry[3] != self._shared_C:
+        entry = self._cells["rows"].get(key) if self._row_of else None
+        if entry is None:
             return None
-        row_of, rows, alone, _ = entry
+        row_of, rows = entry
         at = [row_of.get(atom) for atom in self._row_of]
-        if None in at or not alone.isdisjoint(at):
-            return None
-        return rows[at]
+        return None if None in at else rows[at]
 
     def _fill(self, x, key):
         """The rows at x: screen every scenario, solve one, pool its cell, repeat.
@@ -364,7 +358,6 @@ class SaaFunction:
         """
         S, cells = self.scenarios, self._cells["cells"]
         rows, missing = np.empty((len(S), 1 + self.problem.n1)), np.arange(len(S))
-        alone = set()  # rows settled alone, which no other fill reproduces bit for bit
         R = (np.subtract(S.xi.T, (S.C[0] @ x)[:, None], order="C") if self._shared_C
              else np.ascontiguousarray((S.xi - S.C @ x).T))
         screened = 0
@@ -372,8 +365,6 @@ class SaaFunction:
             if len(cells) > screened:
                 hit, h, pi = self._screen(R, screened)
                 idx = missing[hit]
-                if idx.size == 1:
-                    alone.add(int(idx[0]))
                 rows[idx, 0] = h
                 rows[idx, 1:] = -(pi @ S.C[0]) if self._shared_C else -np.einsum("imn,im->in", S.C[idx], pi)
                 if idx.size == missing.size:
@@ -386,7 +377,6 @@ class SaaFunction:
                                  int(self._first[i]))
             rows[i, 0] = sol.h
             rows[i, 1:] = -s.C.T @ sol.pi
-            alone.add(i)
             self._basis_hint = sol.basis
             free = sol.basis if sol.working_set is None else np.flatnonzero(~sol.working_set)
             self._pool(tuple(free.tolist()))
@@ -394,7 +384,7 @@ class SaaFunction:
         table, held = self._cells["rows"], self._cells["rows"].get(key)
         if self._row_of is not None and (held is None or len(S) >= len(held[0])):
             table.pop(key, None)  # re-entered as the newest
-            table[key] = (self._row_of, rows, alone, self._shared_C)
+            table[key] = (self._row_of, rows)
             if len(table) > _ROW_TABLE_LIMIT:
                 del table[next(iter(table))]
         return rows

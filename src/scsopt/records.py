@@ -1,12 +1,12 @@
 """Per-iteration log records and their CSV wire format.
 
-Floats are printed with 17 significant digits so that parsing an emitted
-CSV reproduces the in-memory history bit for bit.
+The columns are the fields of ``IterateRecord`` in order.  Floats are
+printed with 17 significant digits so that parsing an emitted CSV
+reproduces the in-memory history bit for bit; ints and bools are printed
+as integers.
 """
 
-from dataclasses import dataclass
-
-CSV_HEADER = "k,f_S,f_eval,d_norm,delta,sample_size,step_t,accepted,wall_ms"
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -22,22 +22,17 @@ class IterateRecord:
     wall_ms: float
 
 
+_FIELDS = fields(IterateRecord)
+CSV_HEADER = ",".join(f.name for f in _FIELDS)
+
+
 def _fmt(v):
     return f"{float(v):.17g}"
 
 
 def record_to_csv_row(rec):
-    return ",".join([
-        str(int(rec.k)),
-        _fmt(rec.f_S),
-        _fmt(rec.f_eval),
-        _fmt(rec.d_norm),
-        _fmt(rec.delta),
-        str(int(rec.sample_size)),
-        _fmt(rec.step_t),
-        str(int(bool(rec.accepted))),
-        _fmt(rec.wall_ms),
-    ])
+    cells = ((f.type, getattr(rec, f.name)) for f in _FIELDS)
+    return ",".join(_fmt(v) if kind is float else str(int(kind(v))) for kind, v in cells)
 
 
 def write_history_csv(path, history):
@@ -52,18 +47,6 @@ def read_history_csv(path):
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected CSV header")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        out.append(IterateRecord(
-            k=int(parts[0]),
-            f_S=float(parts[1]),
-            f_eval=float(parts[2]),
-            d_norm=float(parts[3]),
-            delta=float(parts[4]),
-            sample_size=int(parts[5]),
-            step_t=float(parts[6]),
-            accepted=bool(int(parts[7])),
-            wall_ms=float(parts[8]),
-        ))
-    return out
+    return [IterateRecord(*(f.type(int(t)) if f.type is bool else f.type(t)
+                            for f, t in zip(_FIELDS, ln.split(","))))
+            for ln in lines[1:]]

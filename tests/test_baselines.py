@@ -4,7 +4,7 @@ import pytest
 from instances import make_two_stage
 from scsopt import linalg, oracle, qpsolve
 from scsopt.baselines import SgdSolver, SmdSolver
-from scsopt.model import TwoStageProblem, enumerate_support
+from scsopt.model import TwoStageProblem, enumerate_support, initial_feasible_point
 from scsopt.oracle import SaaFunction
 
 
@@ -189,15 +189,16 @@ def test_huge_g_bound_freezes_smd():
 
 
 def test_uniform_averaging_beats_last_often():
+    # SGD with SMD's step c / G_bound draws the same batches and takes the
+    # same steps, so it reports the last of SMD's iterates.
     p = make_two_stage(seed=45, n1=4, m1=1, m2=2, n_base=2, rhs_random=2, support_k=(3, 3))
     sup = enumerate_support(p)
     F = SaaFunction(p, sup)
+    c = (1.0 + float(np.linalg.norm(initial_feasible_point(p)))) / 3.0
     better = 0
     for seed in range(10):
-        avg = SmdSolver(G_bound=3.0, batch=4, iters=60, seed=seed, averaging="uniform",
-                        record_wall_time=False).fit(p)
-        last = SmdSolver(G_bound=3.0, batch=4, iters=60, seed=seed, averaging="last",
-                         record_wall_time=False).fit(p)
+        avg = SmdSolver(G_bound=3.0, batch=4, iters=60, seed=seed, record_wall_time=False).fit(p)
+        last = SgdSolver(c=c, batch=4, iters=60, seed=seed, record_wall_time=False).fit(p)
         if F.value(avg.x_) <= F.value(last.x_):
             better += 1
     assert better >= 6

@@ -589,52 +589,37 @@ def spied(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000), tech=st.booleans(), quadratic=st.booleans())
+@example(seed=0, tech=True, quadratic=False)  # F_S's C varies; 7 of its 18 atoms share C_0
 def test_siblings_gather_the_rows_the_family_settled_at_a_point(seed, tech, quadratic):
-    """After F_S evaluates x, a sibling whose every atom F_S settled by the screen
-    there reads those rows: no screen, no scalar solve, and the bits of a fill
-    with the row table empty.  An atom F_S lacks, or one whose row a scalar
-    solve gave, makes the sibling fill."""
+    """After F_S evaluates x, a sibling whose every atom has a row there reads
+    F_S's rows: no screen and no scalar solve, whatever its number of rows and
+    whether or not its draws share C.  An atom F_S lacks makes the sibling fill."""
     p = discrete_problem(seed, tech, quadratic)
     rng = np.random.default_rng(seed + 5)
     drawn = draw_scenarios(p, substream(seed, "grow", 0), int(rng.integers(20, 60)))
     lacking = int(drawn.atoms[0])  # an atom F_S never draws
     F = SaaFunction(p, covered(drawn, set(drawn.atoms.tolist()) - {lacking}))
-    x0 = rng.normal(size=p.n1)
-    F.value_and_subgrad(x0)  # pools the cells the later points screen with
-    x = x0 + 1e-3 * rng.normal(size=p.n1)
+    x = rng.normal(size=p.n1)
     F.value_and_subgrad(x)
-    atoms, alone = F.scenarios.atoms.tolist(), F._cells["rows"][x.tobytes()][2]
-    settled = {a for i, a in enumerate(atoms) if i not in alone}  # with other rows, by the screen
+    S, atoms = F.scenarios, F.scenarios.atoms.tolist()
+    same_C = {a for a, C in zip(atoms, S.C) if (C == S.C[0]).all()}  # all atoms if F_S's C is shared
     test = draw_scenarios(p, substream(seed, "test_set", 0), 40)
+    siblings = [covered(drawn, {atoms[-1]}), covered(drawn, same_C)]  # one row; C shared
+    if set(test.atoms.tolist()) & set(atoms):
+        siblings.append(covered(test, set(atoms)))  # a replication set's draws that F_S has
     with pytest.MonkeyPatch.context() as mp:
         calls = spied(mp)
-        if settled & set(test.atoms.tolist()):
-            T = F.sibling(covered(test, settled))
+        for sample in siblings:
+            T = F.sibling(sample)
             f, g = T.value_and_subgrad(x)
-            # Draws sharing one C where F's do not take the other right-hand
-            # side product, and a single row numpy's matrix-vector products,
-            # whose last bits differ: those fill.
-            fills = T._shared_C != F._shared_C or len(T.scenarios) == 1
-            assert calls == {"screen": int(fills), "solve": 0}
-            calls.update(screen=0)
-            ref = F.sibling(T.scenarios)
-            ref._cells = dict(F._cells, rows={})  # the same cells, no rows to read
-            f_ref, g_ref = ref.value_and_subgrad(x)
-            assert calls["screen"] > 0 and calls["solve"] == 0
-            assert f == f_ref and g.tobytes() == g_ref.tobytes()
+            assert calls == {"screen": 0, "solve": 0}
+            want = F._solutions(x)[[atoms.index(a) for a in T.scenarios.atoms.tolist()]]
+            assert T._solutions(x).tobytes() == want.tobytes()
             want_f, want_g = per_scenario_sum(p, T.scenarios, x)
             np.testing.assert_allclose(f, want_f, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(g, want_g, rtol=1e-12, atol=1e-12)
-        # The first fill of a family starts with an empty cell table, so x0's
-        # first row came from a scalar solve.
-        alone = F._cells["rows"][x0.tobytes()][2]
-        assert 0 in alone
-        settled_x0 = {a for i, a in enumerate(atoms) if i not in alone}
-        support = enumerate_support(p)
-        for point, keep in ((x, settled | {lacking}), (x0, settled_x0 | {atoms[0]})):
-            calls.update(screen=0, solve=0)
-            F.sibling(covered(support, keep)).value(point)
-            assert calls["screen"] + calls["solve"] > 0
+        F.sibling(covered(enumerate_support(p), set(atoms) | {lacking})).value(x)
+        assert calls["screen"] + calls["solve"] > 0
 
 
 @pytest.mark.parametrize("quadratic", [False, True])

@@ -160,3 +160,39 @@ def test_feasible_point_vertex():
 def test_feasible_point_empty():
     res, x = solve_lp_bounded(np.zeros(2), np.array([[1.0, 1.0]]), np.array([-2.0]), np.zeros(2))
     assert x is None and res.status == "infeasible"
+
+
+def test_a_failed_polish_keeps_the_loop_iterate(monkeypatch):
+    """When the KKT re-solve on the final working set misses the tolerances,
+    the result is the loop's iterate with multipliers from its face: optimal,
+    feasible and within the KKT tolerances."""
+    rng = np.random.default_rng(11)
+    lstsq, polished = np.linalg.lstsq, []
+
+    def off(K, rhs, rcond=None):
+        sol, *rest = lstsq(K, rhs, rcond=rcond)
+        polished.append(sol.size)
+        return (sol + 1e-3, *rest)
+
+    for _ in range(30):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, n))
+        L = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+        H = L @ L.T
+        A = rng.normal(size=(m, n))
+        b = A @ (rng.uniform(0.2, 1.0, n) * (rng.random(n) < 0.7))
+        g = rng.normal(size=n)
+        lb = np.zeros(n)
+        want = solve_qp(H, g, A, b, lb=lb)
+        if want.status != "optimal":
+            continue
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "lstsq", off)
+            res = solve_qp(H, g, A, b, lb=lb)
+        assert polished and res.status == "optimal"
+        assert np.abs(A @ res.x - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
+        assert res.x.min() >= 0.0
+        grad = H @ res.x + g
+        stat = grad - A.T @ res.pi - res.mu
+        assert kkt_holds(A, b, lb, res.x, ~res.working_set, grad, stat, res.mu)
+        assert abs(res.obj - want.obj) <= 1e-9 * (1.0 + abs(want.obj))
