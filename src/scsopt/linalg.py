@@ -24,7 +24,11 @@ class _Face(NamedTuple):
     cond: float  # the largest singular value over the smallest kept; 1.0 at rank 0
 
 
-def _face(M):
+_FACE_LIMIT = 32  # first-stage faces; a benchmark SGD/SMD fit visits at most 13
+_faces = {}  # (shape, bytes of M) -> read-only _Face, least recently used first
+
+
+def _factor(M):
     """The face of M by one SVD, with the package's one rank rule: sig > 1e-10 max(sig)."""
     U, sig, Vt = np.linalg.svd(M)
     k = int(np.sum(sig > 1e-10 * sig.max(initial=0.0)))
@@ -32,18 +36,31 @@ def _face(M):
     return _Face(Vt[k:].T.copy(), pinv, sig[0] / sig[k - 1] if k else 1.0)
 
 
-def null_space_basis(A):
-    """(n, k) array of orthonormal columns spanning {d : A d = 0}, by ``_face``'s SVD.
+def _face(M):
+    """``_factor(M)``, memoized process-wide by M's bytes: read-only, bit-equal to a fresh SVD."""
+    key = (M.shape, M.tobytes())
+    face = _faces.pop(key, None)
+    if face is None:
+        face = _factor(M)
+        face.Z.flags.writeable = face.pinv.flags.writeable = False
+        if len(_faces) >= _FACE_LIMIT:
+            del _faces[next(iter(_faces))]
+    _faces[key] = face
+    return face
 
-    The rank counts the singular values above 1e-10 times the largest.
-    When A has full column rank the basis has zero columns: {Ax = b} is a
-    single point, and every projection onto it is the zero direction.
+
+def null_space_basis(A):
+    """(n, k) orthonormal columns spanning {d : A d = 0}, a writable copy of ``_face``'s Z.
+
+    The rank counts the singular values above 1e-10 times the largest; no
+    rows give Z = I.  When A has full column rank the basis has zero
+    columns: {Ax = b} is a single point, and every projection onto it is
+    the zero direction.
     """
     A = as_matrix(A, "A")
-    m, n = A.shape
-    if m < 1 or n < 1:
-        raise DimensionMismatch("A must have at least one row and one column")
-    return _face(A).Z
+    if A.shape[1] < 1:
+        raise DimensionMismatch("A must have at least one column")
+    return _face(A).Z.copy()
 
 
 def project_null(Z, v):
@@ -54,16 +71,16 @@ def project_null(Z, v):
 def project_polyhedral(A, b, lower_bounds, x):
     """Euclidean projection of x onto {Az = b, z >= lower_bounds}; None bounds mean -inf.
 
-    A try pins z_W = lb_W and projects x_F onto the rest of {Az = b} by one
-    SVD of A_F (``_face``): the step is the least-change solution of A_F p =
-    A_F x_F - (b - A_W lb_W), so the point is good to about eps cond(A_F),
-    and redundant consistent rows need nothing special.  The first try pins
-    nothing, so it is the affine projection.  A try is returned once it
-    passes ``qpsolve.kkt_holds``.  Else W takes a primal-dual active-set
-    step (Hintermueller, Ito and Kunisch, 2002): keep the pins with mu >= 0
-    and pin the free entry furthest below its bound.  A face with cond(A_F)
-    above 1e7, pins that stop moving or 1 + n failed tries hand the QP
-    min ||z - x||^2 to the active-set engine.
+    A try pins z_W = lb_W and projects x_F onto the rest of {Az = b} by the
+    SVD of A_F, taken once per face (``_face``): the step is the least-change
+    solution of A_F p = A_F x_F - (b - A_W lb_W), so the point is good to
+    about eps cond(A_F); redundant rows and no rows need nothing special.
+    The first try pins nothing, so it is the affine projection.  A try is
+    returned once it passes ``qpsolve.kkt_holds``.  Else W takes a
+    primal-dual active-set step (Hintermueller, Ito and Kunisch, 2002):
+    keep the pins with mu >= 0 and pin the free entry furthest below its
+    bound.  A face with cond(A_F) above 1e7, pins that stop moving or 1 + n
+    failed tries hand the QP min ||z - x||^2 to the active-set engine.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, A.shape[0], "b")

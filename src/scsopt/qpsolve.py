@@ -75,7 +75,7 @@ def solve_qp(H, g, A, b, lb, phase1_basis=None, start=None):
         free = ~working
         idx_f = np.flatnonzero(free)
         grad = H @ x + g
-        face = linalg._face(A[:, idx_f])
+        face = linalg._factor(A[:, idx_f])
         N = face.Z
         p = np.zeros(n)
         ray = False
@@ -176,7 +176,7 @@ def _finish(H, g, A, b, lb, x, working, iters, phase1_basis):
     if not kkt_holds(A, b, lb, x_try, idx_f, grad, stat, mu):
         # Keep the iterate the loop certified instead of a failed polish.
         x_try = x_out
-        pi, mu = _multipliers(A, H @ x_try + g, working, linalg._face(A[:, idx_f]))
+        pi, mu = _multipliers(A, H @ x_try + g, working, linalg._factor(A[:, idx_f]))
     mu = np.maximum(mu, 0.0)
     obj = float(0.5 * x_try @ H @ x_try + g @ x_try)
     return QpResult(OPTIMAL, x_try, obj, pi, mu, working.copy(), iters, phase1_basis)

@@ -403,11 +403,9 @@ class ScsSolver(ParamsMixin):
     # -- active lower bounds --------------------------------------------------
 
     @staticmethod
-    def _face_basis(problem, active, cache):
+    def _face_basis(problem, active):
         """Null-space basis of the equality rows plus the active bounds (no columns at a point)."""
-        if active not in cache:
-            cache[active] = linalg.null_space_basis(_face_rows(problem, active)[0])
-        return cache[active]
+        return linalg.null_space_basis(_face_rows(problem, active)[0])
 
     @staticmethod
     def _pin_to_face(problem, x, active):
@@ -424,7 +422,7 @@ class ScsSolver(ParamsMixin):
         z[idx] = problem.lower_bounds[idx]
         return z
 
-    def _release_candidate(self, problem, F_S, x_hat, active, face_cache, delta):
+    def _release_candidate(self, problem, F_S, x_hat, active, delta):
         """(bound index, unit descent direction) with the steepest certified release, or None.
 
         The oracle hands back one element of a possibly large subdifferential,
@@ -441,7 +439,7 @@ class ScsSolver(ParamsMixin):
         reach = max(delta, self.delta0)
         best, best_rate = None, -self.eps
         for i in sorted(active):
-            Zr = self._face_basis(problem, active - {i}, face_cache)
+            Zr = self._face_basis(problem, active - {i})
             steepest = -linalg.project_null(Zr, g_inc)
             nd = float(np.linalg.norm(steepest))
             if nd <= 1e-12 or steepest[i] <= 1e-9 * nd:
@@ -498,9 +496,8 @@ class ScsSolver(ParamsMixin):
             # Keep the floor low enough that the norm condition
             # ||d|| > eta2 * delta can still pass near termination.
             delta_floor = min(self.delta0 * 1e-3, 0.1 * self.eps / self.eta2)
-        face_cache = {}
         active = frozenset()
-        Z_face = self._face_basis(problem, active, face_cache)
+        Z_face = self._face_basis(problem, active)
         d_prev = np.zeros(problem.n1)
         delta = float(self.delta0)
         status = "max_iter"
@@ -521,7 +518,7 @@ class ScsSolver(ParamsMixin):
                 if new_active != active:
                     active = new_active
                     x_hat = self._pin_to_face(problem, x_hat, active)
-                    Z_face = self._face_basis(problem, active, face_cache)
+                    Z_face = self._face_basis(problem, active)
                     d_prev = np.zeros(problem.n1)
                     g_carry = None
 
@@ -538,15 +535,14 @@ class ScsSolver(ParamsMixin):
                 dn = float(np.linalg.norm(d))
                 if dn > self.eps:
                     break
-                cand = self._release_candidate(
-                    problem, F_S, x_hat, active, face_cache, delta) if active else None
+                cand = self._release_candidate(problem, F_S, x_hat, active, delta) if active else None
                 if cand is None:
                     ls = LineSearchResult(False, reason="terminated", f_before=F_S.value(x_hat))
                     break
                 i_rel, rel_dir = cand
                 x_hat = self._release_step(x_hat, lb, thickness, i_rel, rel_dir)
                 active = active - {i_rel}
-                Z_face = self._face_basis(problem, active, face_cache)
+                Z_face = self._face_basis(problem, active)
                 d_prev = np.zeros(problem.n1)
                 g = F_S.subgrad(x_hat)
             dot_dg = float(d @ g_t)

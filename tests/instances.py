@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from scsopt import linalg
 from scsopt.model import Discrete, RandomEntry, TwoStageProblem, enumerate_support
 from scsopt.oracle import SaaFunction, require_optimal, solve_recourse
 
@@ -144,3 +145,29 @@ def sqqp_fixtures():
 
 def iid_params():
     return dict(_SCS_IID)
+
+
+def record_face_svds(monkeypatch):
+    """(asked, factored): the faces given to linalg's memo, and those it took an SVD of.
+
+    Each entry is a face's (shape, bytes).  A cold QP factors its own faces
+    outside the memo, so its SVDs are not counted.
+    """
+    asked, factored, inside, face, factor = [], [], [], linalg._face, linalg._factor
+
+    def memo(M):
+        asked.append((M.shape, M.tobytes()))
+        inside.append(M)
+        try:
+            return face(M)
+        finally:
+            inside.pop()
+
+    def counted(M):
+        if inside:
+            factored.append((M.shape, M.tobytes()))
+        return factor(M)
+
+    monkeypatch.setattr(linalg, "_face", memo)
+    monkeypatch.setattr(linalg, "_factor", counted)
+    return asked, factored

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from instances import make_two_stage
+from instances import make_two_stage, record_face_svds
 from scsopt import linalg, oracle, qpsolve
 from scsopt.baselines import SgdSolver, SmdSolver
 from scsopt.model import TwoStageProblem, enumerate_support, initial_feasible_point
@@ -154,6 +154,29 @@ def test_warm_projection_rarely_needs_the_qp(monkeypatch, cls):
     monkeypatch.setattr(qpsolve, "solve_qp", counted)
     long_bounded_fit(cls)
     assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("cls", [SgdSolver, SmdSolver])
+def test_a_warm_face_memo_leaves_the_fit_bit_identical(monkeypatch, cls):
+    # A face comes from M's bytes alone: a memo cleared, warmed by another
+    # problem, or bypassed for a fresh SVD every try gives the same fit.
+    linalg._faces.clear()
+    cold = long_bounded_fit(cls)
+    cls(c=3.0, batch=4, iters=50, seed=5, record_wall_time=False).fit(make_two_stage(seed=47))
+    warm = long_bounded_fit(cls)
+    monkeypatch.setattr(linalg, "_face", linalg._factor)
+    fresh = long_bounded_fit(cls)
+    for fit in (warm, fresh):
+        assert [repr(r) for r in fit.history_] == [repr(r) for r in cold.history_]
+        assert fit.x_.tobytes() == cold.x_.tobytes()
+
+
+def test_an_smd_fit_takes_one_svd_per_distinct_face(monkeypatch):
+    asked, factored = record_face_svds(monkeypatch)
+    linalg._faces.clear()
+    SmdSolver(c=3.0, batch=4, iters=100, seed=0, record_wall_time=False).fit(bounded_fixture())
+    assert len(factored) == len(set(factored)) == len(set(asked)) <= linalg._FACE_LIMIT
+    assert len(asked) >= 100 + 3 * len(factored)
 
 
 def test_only_sgd_sets_its_default_step_from_a_pilot(monkeypatch):

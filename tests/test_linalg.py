@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scsopt import qpsolve
-from scsopt.exceptions import InfeasibleRegion
+from scsopt import linalg, qpsolve
+from scsopt.exceptions import DimensionMismatch, InfeasibleRegion
 from scsopt.linalg import null_space_basis, project_null, project_polyhedral
 
 
@@ -21,6 +21,13 @@ def test_full_column_rank_gives_a_zero_column_basis():
     basis = null_space_basis(np.eye(2))
     assert basis.shape == (2, 0)
     np.testing.assert_array_equal(project_null(basis, np.array([3.0, -4.0])), [0.0, 0.0])
+
+
+def test_no_rows_give_the_identity_basis():
+    # A first stage with bounds only: every direction is feasible.
+    np.testing.assert_array_equal(null_space_basis(np.zeros((0, 3))), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        null_space_basis(np.zeros((2, 0)))
 
 
 def test_random_full_row_rank_identities():
@@ -250,3 +257,71 @@ def test_warm_projection_matches_cold(seed, case):
     z = project_polyhedral(A, b, lb, x)
     assert np.abs(z - cold).max() <= 1e-12 * (1.0 + np.abs(cold).max())
     assert_projection_kkt(A, b, x, z, lb)
+
+
+# -- the face memo --------------------------------------------------------------
+
+def _memo_cases():
+    rng = np.random.default_rng(23)
+    deficient = rng.normal(size=(3, 2)) @ rng.normal(size=(2, 6))  # rank 2
+    return {"random": rng.normal(size=(3, 5)), "rank_deficient": deficient,
+            "wide": rng.normal(size=(2, 7)), "tall": rng.normal(size=(6, 3)),
+            "no_rows": np.zeros((0, 4))}
+
+
+@pytest.mark.parametrize("case", ["random", "rank_deficient", "wide", "tall", "no_rows"])
+def test_a_memoized_face_is_a_fresh_svd(case):
+    M = _memo_cases()[case]
+    linalg._faces.clear()
+    first = linalg._face(M)
+    again = linalg._face(M.copy())
+    fresh = linalg._factor(M.copy())
+    assert again is first and len(linalg._faces) == 1
+    assert again.Z.tobytes() == fresh.Z.tobytes() and again.Z.shape == fresh.Z.shape
+    assert again.pinv.tobytes() == fresh.pinv.tobytes() and again.pinv.shape == fresh.pinv.shape
+    assert again.cond == fresh.cond
+
+
+def test_the_memo_is_read_only_and_bases_are_copies():
+    A = _memo_cases()["random"]
+    linalg._faces.clear()
+    face = linalg._face(A)
+    for arr in (face.Z, face.pinv):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    Z = null_space_basis(A)
+    assert Z.flags.writeable and not np.shares_memory(Z, face.Z)
+    Z[:] = 0.0
+    assert np.abs(linalg._face(A).Z).max() > 0.0
+
+
+def test_the_memo_keeps_its_limit_and_drops_the_least_recent():
+    rng = np.random.default_rng(29)
+    linalg._faces.clear()
+    faces = [rng.normal(size=(2, 4)) for _ in range(linalg._FACE_LIMIT + 5)]
+    for i, M in enumerate(faces):
+        linalg._face(M)
+        linalg._face(faces[0])  # the first face stays recent
+        assert len(linalg._faces) == min(i + 1, linalg._FACE_LIMIT)
+    keys = {(M.shape, M.tobytes()) for M in faces}
+    assert set(linalg._faces) <= keys and (faces[0].shape, faces[0].tobytes()) in linalg._faces
+    assert (faces[1].shape, faces[1].tobytes()) not in linalg._faces
+
+
+def test_qp_and_extensive_form_solves_add_no_face():
+    # Recourse QPs and extensive-form masters factor their faces afresh:
+    # only the first-stage start-point projection may enter the memo.
+    from instances import make_two_stage
+    from scsopt.model import enumerate_support, extensive_form, initial_feasible_point
+
+    rng = np.random.default_rng(31)
+    A = rng.normal(size=(2, 6))
+    linalg._faces.clear()
+    qpsolve.solve_qp(np.eye(6), rng.normal(size=6), A, A @ np.ones(6), lb=np.zeros(6))
+    assert not linalg._faces
+    for quadratic in (False, True):
+        p = make_two_stage(seed=12, quadratic=quadratic)
+        initial_feasible_point(p)
+        held = set(linalg._faces)
+        assert extensive_form(p, enumerate_support(p)).solve().status == "optimal"
+        assert set(linalg._faces) == held

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from instances import iid_params, make_two_stage, sqlp_fixtures, sqqp_fixtures
-from scsopt import oracle, scs
+from instances import iid_params, make_two_stage, record_face_svds, sqlp_fixtures, sqqp_fixtures
+from scsopt import linalg, oracle, scs
 from scsopt.exceptions import InfeasibleRegion
 from scsopt.linalg import project_null
 from scsopt.model import (
@@ -166,6 +166,59 @@ def test_single_point_stops_by_the_norm_rule(sampling, b, lower_bounds):
 def test_single_point_below_a_bound_is_infeasible(sampling):
     with pytest.raises(InfeasibleRegion):
         ScsSolver(sampling=sampling, seed=0).fit(single_point([-0.4, 0.6], [0.0, 0.0]))
+
+
+def bounds_only():
+    """A first stage with no equality rows (A is 0 x 3); x* = (0, 1.548, 0.876) pins x1."""
+    p = make_two_stage(seed=1, n1=3, m1=0)
+    return TwoStageProblem(Q=p.Q, c=p.c + [3.0, 0.0, 0.0], A=p.A, b=p.b, D=p.D, d=p.d,
+                           xi=p.xi, C=p.C, lower_bounds=p.lower_bounds,
+                           stochastic_map=p.stochastic_map, recourse_lo=p.recourse_lo,
+                           recourse_hi=p.recourse_hi)
+
+
+@pytest.mark.parametrize("sampling", ["full", "iid"])
+def test_a_first_stage_without_equality_rows_reaches_the_optimum(sampling):
+    p = bounds_only()
+    assert p.A.shape == (0, 3)
+    support = enumerate_support(p)
+    ext = extensive_form(p, support).solve()
+    s = ScsSolver(sampling=sampling, seed=0, record_wall_time=False).fit(p)
+    assert s.status_ == "converged"
+    np.testing.assert_array_equal(s.null_space_, np.eye(3))
+    assert s.x_[0] == 0.0 and s.x_.min() >= 0.0
+    np.testing.assert_allclose(s.x_, ext.x, atol=1e-3)
+    assert true_objective(p, support, s.x_) - ext.value <= 1e-6 * (1.0 + abs(ext.value))
+
+
+def _memo_cases():
+    fixtures = {fx.name: fx.problem for fx in sqlp_fixtures()}
+    # sqlp_c with seed 0 pins bounds and releases three of them (see _release_cases)
+    return fixtures["sqlp_c"], fixtures["sqlp_e"], dict(iid_params(), sampling="iid", seed=0)
+
+
+def test_a_warm_face_memo_leaves_the_fit_bit_identical(monkeypatch):
+    problem, other, params = _memo_cases()
+    linalg._faces.clear()
+    cold = _fit(problem, params)
+    _fit(other, params)
+    warm = _fit(problem, params)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_face", linalg._factor)  # every face by a fresh SVD
+        fresh = _fit(problem, params)
+    for fit in (warm, fresh):
+        assert _records(fit) == _records(cold)
+        assert fit.x_.tobytes() == cold.x_.tobytes()
+    assert cold.null_space_.flags.writeable
+    assert not any(np.shares_memory(cold.null_space_, f.Z) for f in linalg._faces.values())
+
+
+def test_a_pin_and_its_face_basis_share_one_svd(monkeypatch):
+    problem, _, params = _memo_cases()
+    asked, factored = record_face_svds(monkeypatch)
+    linalg._faces.clear()
+    _fit(problem, params)
+    assert len(factored) == len(set(factored)) == len(set(asked)) < len(asked)
 
 
 def test_only_iid_sampling_builds_the_pilot(monkeypatch):
@@ -449,7 +502,7 @@ def test_full_support_accepts_on_the_radius_test_alone(case, monkeypatch):
 
 # -- bound release ------------------------------------------------------------
 
-def _three_scale_release(solver, problem, F_S, x_hat, active, face_cache, delta):
+def _three_scale_release(solver, problem, F_S, x_hat, active, delta):
     """(best, best_rate) of the release probe that one probe per bound replaced.
 
     Per active bound: the enlarged-face steepest ray if it leaves the bound, else
@@ -461,7 +514,7 @@ def _three_scale_release(solver, problem, F_S, x_hat, active, face_cache, delta)
     reach = max(delta, solver.delta0)
     best, best_rate = None, np.inf
     for i in sorted(active):
-        Zr = solver._face_basis(problem, active - {i}, face_cache)
+        Zr = solver._face_basis(problem, active - {i})
         if Zr is None:
             continue
         rays = []
@@ -530,9 +583,9 @@ def test_one_probe_release_matches_the_three_scale_probe(case, monkeypatch):
     single = ScsSolver._release_candidate
     released = []
 
-    def checked(self, problem, F_S, x_hat, active, face_cache, delta):
-        got = single(self, problem, F_S, x_hat, active, face_cache, delta)
-        ref, rate = _three_scale_release(self, problem, F_S, x_hat, active, face_cache, delta)
+    def checked(self, problem, F_S, x_hat, active, delta):
+        got = single(self, problem, F_S, x_hat, active, delta)
+        ref, rate = _three_scale_release(self, problem, F_S, x_hat, active, delta)
         if rate < -self.eps:
             assert got is not None and got[0] == ref[0]
             assert got[1].tobytes() == ref[1].tobytes()
