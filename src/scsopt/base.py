@@ -48,7 +48,7 @@ def scheduled_eval(solver, x, k, final=False):
 
 
 def check_finite(arr, name):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -82,6 +82,6 @@ def as_lower_bounds(value, n):
     lb = np.asarray(value, dtype=float).reshape(-1)
     if lb.size != n:
         raise DimensionMismatch(f"lower_bounds has length {lb.size}, expected {n}")
-    if np.any(np.isnan(lb)) or np.any(lb == np.inf):
+    if not (lb < np.inf).all():  # False at NaN and +inf alike
         raise ValueError("lower_bounds entries must be finite or -inf")
     return lb

@@ -71,16 +71,22 @@ def project_null(Z, v):
 def project_polyhedral(A, b, lower_bounds, x):
     """Euclidean projection of x onto {Az = b, z >= lower_bounds}; None bounds mean -inf.
 
+    Every call checks its inputs: A, b and x finite (else ValueError),
+    lower_bounds finite or -inf (else ValueError), and b, x and the bounds
+    of A's sizes (else DimensionMismatch).
+
     A try pins z_W = lb_W and projects x_F onto the rest of {Az = b} by the
     SVD of A_F, taken once per face (``_face``): the step is the least-change
     solution of A_F p = A_F x_F - (b - A_W lb_W), so the point is good to
     about eps cond(A_F); redundant rows and no rows need nothing special.
-    The first try pins nothing, so it is the affine projection.  A try is
-    returned once it passes ``qpsolve.kkt_holds``.  Else W takes a
-    primal-dual active-set step (Hintermueller, Ito and Kunisch, 2002):
-    keep the pins with mu >= 0 and pin the free entry furthest below its
-    bound.  A face with cond(A_F) above 1e7, pins that stop moving or 1 + n
-    failed tries hand the QP min ||z - x||^2 to the active-set engine.
+    The first try pins nothing, so it is the affine projection, on A and b
+    as given; F, A_F and b - A_W lb_W are rebuilt only when W moves.  A try
+    is returned once it passes ``qpsolve.kkt_holds``, given the bound
+    multipliers on F as the residual and those on W for their sign.  Else W
+    takes a primal-dual active-set step (Hintermueller, Ito and Kunisch,
+    2002): keep the pins with mu >= 0 and pin the free entry furthest below
+    its bound.  A face with cond(A_F) above 1e7, pins that stop moving or
+    1 + n failed tries hand the QP min ||z - x||^2 to the active-set engine.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, A.shape[0], "b")
@@ -89,27 +95,30 @@ def project_polyhedral(A, b, lower_bounds, x):
     if lb is None:
         lb = np.full(x.size, -np.inf)
     W = np.zeros(x.size, dtype=bool)
+    # No pins yet: A_F is A in the column-major layout A[:, F] has (its products
+    # round by layout), and A_W lb_W is +0.0, so r = b bit for bit.
+    F, AF, xF, r = ~W, np.asfortranarray(A), x, b
     for _ in range(x.size + 1):
-        F = ~W
-        AF = A[:, F]
         face = _face(AF)
         if face.cond > 1e7:
             break
-        step = face.pinv @ (AF @ x[F] - (b - A[:, W] @ lb[W]))
+        step = face.pinv @ (AF @ xF - r)
         lam = face.pinv.T @ step  # the least-norm lam with A_F' lam = step: the row multipliers
         z = np.where(W, lb, x)
-        z[F] = x[F] - step
-        mu = z - x + A.T @ lam  # the bound multipliers; zero on F up to rounding
-        if qpsolve.kkt_holds(A, b, lb, z, F, z - x, np.where(F, mu, 0.0), np.where(W, mu, 0.0)):
+        z[F] = xF - step
+        dz = z - x
+        mu = dz + A.T @ lam  # the bound multipliers; zero on F up to rounding
+        if qpsolve.kkt_holds(A, b, lb, z, F, dz, mu[F], mu[W]):
             return z
         moved = W & (mu >= 0.0)
         gap = np.where(F, z - lb, np.inf)
-        worst = int(np.argmin(gap))
+        worst = gap.argmin()
         if gap[worst] < 0.0:
             moved[worst] = True
         if np.array_equal(moved, W):
             break
-        W = moved
+        W, F = moved, ~moved
+        AF, xF, r = A[:, F], x[F], b - A[:, W] @ lb[W]
     res = qpsolve.solve_qp(np.eye(x.size), -x, A, b, lb=lb)
     if res.status != qpsolve.OPTIMAL:
         raise InfeasibleRegion("projection target region {Az=b, z>=lb} is empty")

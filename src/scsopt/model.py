@@ -18,6 +18,7 @@ block-structured form.  It also evaluates exact objectives over finite
 supports.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,10 @@ class TwoStageProblem:
             else:
                 if not (0 <= entry.row < self.m2 and 0 <= entry.col < self.n1):
                     raise DimensionMismatch(f"tech position ({entry.row},{entry.col}) out of range")
+        # atoms per entry, the radix of a drawn row's atom index; None unless every
+        # marginal is discrete (a finite support)
+        self._radix = (tuple(len(e.dist.values) for e in self.stochastic_map)
+                       if all(isinstance(e.dist, Discrete) for e in self.stochastic_map) else None)
         self.name = name
         self.recourse_lo = None if recourse_lo is None else float(recourse_lo)
         self.recourse_hi = None if recourse_hi is None else float(recourse_hi)
@@ -163,15 +168,10 @@ class TwoStageProblem:
         return float(0.5 * x @ self.Q @ x + self.c @ x)
 
     def has_finite_support(self):
-        return all(isinstance(e.dist, Discrete) for e in self.stochastic_map)
+        return self._radix is not None
 
     def support_size(self):
-        if not self.has_finite_support():
-            return None
-        size = 1
-        for e in self.stochastic_map:
-            size *= len(e.dist.values)
-        return size
+        return None if self._radix is None else math.prod(self._radix)
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,8 @@ def as_scenario_set(scenarios):
 def _place(problem, values, weights, atoms):
     """ScenarioSet whose row r carries ``values[r, j]`` at the position of stochastic entry j."""
     n = len(weights)
-    xi = np.repeat(problem.xi[None, :], n, axis=0)
-    C = np.repeat(problem.C[None, :, :], n, axis=0)
+    xi, C = np.empty((n,) + problem.xi.shape), np.empty((n,) + problem.C.shape)
+    xi[:], C[:] = problem.xi, problem.C
     for j, entry in enumerate(problem.stochastic_map):
         if entry.kind == "rhs":
             xi[:, entry.row] = values[:, j]
@@ -252,14 +252,15 @@ def draw_scenarios(problem, rng, n):
     repeats included.  When every marginal is discrete and the support has at
     most ``_MAX_SCENARIOS`` atoms, each row carries its atom index: the C-order
     mixed radix of its per-entry atom indices, ``enumerate_support``'s row.
+    Whether the support is finite, and the radix, are read from the problem,
+    which derives them from its map once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    entries = problem.stochastic_map
-    atoms = None
+    entries, radix, atoms = problem.stochastic_map, problem._radix, None
     if all(isinstance(e.dist, (Discrete, Uniform)) for e in entries):
         values = rng.random((n, len(entries)))
-        if problem.has_finite_support() and problem.support_size() <= _MAX_SCENARIOS:
+        if radix is not None and problem.support_size() <= _MAX_SCENARIOS:
             atoms = np.zeros(n, dtype=np.int64)
         for j, entry in enumerate(entries):
             if atoms is None:
@@ -267,7 +268,7 @@ def draw_scenarios(problem, rng, n):
             else:
                 idx = entry.dist.index(values[:, j])
                 values[:, j] = entry.dist._values[idx]
-                atoms = atoms * len(entry.dist.values) + idx
+                atoms = atoms * radix[j] + idx
     else:
         values = np.array([[e.dist.draw(rng) for e in entries] for _ in range(n)])
     return _place(problem, values, np.full(n, 1.0 / n), atoms)

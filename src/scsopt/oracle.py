@@ -292,7 +292,8 @@ class SaaFunction:
         Z[k, :, j] is cell start + k's map at column j, checked within
         ``qpsolve._finish``'s tolerances for a QP cell.
         """
-        G, *fields = (field[start:] for field in self._cells["stack"])
+        stack = self._cells["stack"]
+        G, *fields = (field[start:] for field in stack) if start else stack
         Z = (G.reshape(-1, G.shape[2]) @ R).reshape(G.shape[0], G.shape[1], R.shape[1])
         if self.problem.quadratic_recourse:
             a, work = fields
@@ -305,7 +306,8 @@ class SaaFunction:
         else:
             ok = Z.min(axis=1) >= -1e-9 * (1.0 + np.abs(R).max(axis=0))
         hit = ok.any(axis=0)
-        k, cols = ok.argmax(axis=0)[hit], np.flatnonzero(hit)
+        cols = hit.nonzero()[0]
+        k = ok.argmax(axis=0)[cols]
         if self.problem.quadratic_recourse:
             h = 0.5 * np.einsum("ij,ij->i", y[k, :, cols], grad[k, :, cols] + self.problem.d)
             return hit, h, pi[k, :, cols]
@@ -350,11 +352,12 @@ class SaaFunction:
         """The rows at x: screen every scenario, solve one, pool its cell, repeat.
 
         The right-hand sides, one column each (one product with C_0 when C is
-        shared), are screened against every stacked cell.  While scenarios
-        remain, the first is solved warm-started from the last basis, its
-        cell joins the table, and the rest are screened against the cells
-        added since the last pass.  An oracle with an atom index enters the
-        rows in the family's table at ``key``.
+        shared), are screened against every stacked cell; a first pass that
+        settles them all writes the rows whole.  While scenarios remain, the
+        first is solved warm-started from the last basis, its cell joins the
+        table, and the rest are screened against the cells added since the
+        last pass.  An oracle with an atom index enters the rows in the
+        family's table at ``key``.
         """
         S, cells = self.scenarios, self._cells["cells"]
         rows, missing = np.empty((len(S), 1 + self.problem.n1)), np.arange(len(S))
@@ -364,10 +367,11 @@ class SaaFunction:
         while missing.size:
             if len(cells) > screened:
                 hit, h, pi = self._screen(R, screened)
-                idx = missing[hit]
+                settled = hit.all()
+                idx = slice(None) if settled and missing.size == len(S) else missing[hit]
                 rows[idx, 0] = h
                 rows[idx, 1:] = -(pi @ S.C[0]) if self._shared_C else -np.einsum("imn,im->in", S.C[idx], pi)
-                if idx.size == missing.size:
+                if settled:
                     break
                 missing, R = missing[~hit], R[:, ~hit]
             screened = len(cells)

@@ -138,12 +138,16 @@ def _multipliers(A, grad, working, face):
 
 
 def kkt_holds(A, b, lb, x, free, grad, stat, mu):
-    """KKT tolerances: residual ``stat`` ~ 0, x[free] >= lb[free], Ax = b, multipliers mu >= 0."""
-    scale = 1.0 + float(np.abs(grad).max(initial=0.0))
+    """KKT tolerances: residual ``stat`` ~ 0, x[free] >= lb[free], Ax = b, multipliers mu >= 0.
+
+    ``stat`` and ``mu`` may hold zeros for the entries they do not cover or
+    leave them out: an empty one passes, as each reduction starts from 0.
+    """
+    scale = 1.0 + np.abs(grad).max(initial=0.0)
     return bool(
-        float(np.abs(stat).max(initial=0.0)) <= 1e-9 * scale
-        and np.all(x[free] >= lb[free] - 1e-9 * (1.0 + np.abs(x).max(initial=0.0)))
-        and (A.shape[0] == 0 or float(np.abs(A @ x - b).max(initial=0.0)) <= 1e-8 * (1.0 + np.abs(b).max(initial=0.0)))
+        np.abs(stat).max(initial=0.0) <= 1e-9 * scale
+        and (x[free] >= lb[free] - 1e-9 * (1.0 + np.abs(x).max(initial=0.0))).all()
+        and (A.shape[0] == 0 or np.abs(A @ x - b).max(initial=0.0) <= 1e-8 * (1.0 + np.abs(b).max(initial=0.0)))
         and mu.min(initial=0.0) >= -1e-8 * scale
     )
 

@@ -245,6 +245,16 @@ def test_functional_wrappers():
     assert len(hist2) == 10
 
 
+@pytest.mark.parametrize("cls", [SgdSolver, SmdSolver])
+def test_a_non_finite_step_is_rejected_by_the_projection(monkeypatch, cls):
+    # x - alpha g with an infinite subgradient reaches project_polyhedral,
+    # whose checks refuse it rather than projecting inf.
+    p = bounded_fixture()
+    monkeypatch.setattr(SaaFunction, "subgrad", lambda self, x: np.full(x.size, np.inf))
+    with pytest.raises(ValueError, match="x contains NaN or Inf"):
+        cls(c=1.0, batch=2, iters=3, seed=0, record_wall_time=False).fit(p)
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         SgdSolver(c=-1.0).fit(deterministic_qp())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from scsopt import linalg, qpsolve
 from scsopt.exceptions import DimensionMismatch, InfeasibleRegion
 from scsopt.linalg import null_space_basis, project_null, project_polyhedral
@@ -207,6 +208,21 @@ class TestProjectPolyhedral:
         with pytest.raises(ValueError, match="finite or -inf"):
             project_polyhedral([[1.0, 1.0]], [1.0], [0.0, bad], [2.0, -2.0])
 
+    @pytest.mark.parametrize("where", ["A", "b", "x"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, where, bad):
+        data = {"A": np.array([[1.0, 1.0]]), "b": np.array([1.0]), "x": np.array([2.0, -2.0])}
+        data[where].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{where} contains NaN or Inf"):
+            project_polyhedral(data["A"], data["b"], [0.0, 0.0], data["x"])
+
+    @pytest.mark.parametrize("where", ["b", "x", "lower_bounds"])
+    def test_rejects_a_vector_of_the_wrong_length(self, where):
+        data = {"b": [1.0], "x": [2.0, -2.0], "lower_bounds": [0.0, 0.0]}
+        data[where] = data[where] + [0.0]
+        with pytest.raises(DimensionMismatch, match=where):
+            project_polyhedral([[1.0, 1.0]], data["b"], data["lower_bounds"], data["x"])
+
     def test_a_wrong_pin_is_released(self, monkeypatch):
         # The affine projection puts z_2 lowest, so it is pinned first; once
         # z_0 and z_1 are pinned too, its multiplier is negative: the pin goes.
@@ -227,11 +243,8 @@ class TestProjectPolyhedral:
         np.testing.assert_allclose(z, cold, rtol=0.0, atol=1e-12 * (1.0 + np.abs(cold).max()))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "redundant", "ill_face", "no_bounds"]))
-@example(1000115, "random")  # four pins, then one must be released
-def test_warm_projection_matches_cold(seed, case):
-    # The face loop changes how the projection is found, never what it is.
+def projection_case(seed, case):
+    """(A, b, lb, x) of one random projection of kind ``case``."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1 if case == "random" else 2, 4))
     n = m + int(rng.integers(1, 6))
@@ -253,10 +266,46 @@ def test_warm_projection_matches_cold(seed, case):
         x[[p, q]] = -np.abs(x[[p, q]])
     b = A @ rng.uniform(0.2, 1.0, n)
     lb = np.full(n, -np.inf) if case == "no_bounds" else np.zeros(n)
-    cold = qpsolve.solve_qp(np.eye(n), -x, A, b, lb=lb).x
+    return A, b, lb, x
+
+
+PROJECTION_CASES = ["random", "redundant", "ill_face", "no_bounds"]
+# Cases whose face loop releases a pin after the first try fails.
+RELEASING = [(1000115, "random"), (43, "random"), (5, "redundant"), (28, "ill_face")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PROJECTION_CASES))
+@example(*RELEASING[0])  # four pins, then one must be released
+def test_warm_projection_matches_cold(seed, case):
+    # The face loop changes how the projection is found, never what it is.
+    A, b, lb, x = projection_case(seed, case)
+    cold = qpsolve.solve_qp(np.eye(x.size), -x, A, b, lb=lb).x
     z = project_polyhedral(A, b, lb, x)
     assert np.abs(z - cold).max() <= 1e-12 * (1.0 + np.abs(cold).max())
     assert_projection_kkt(A, b, x, z, lb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PROJECTION_CASES))
+@example(*RELEASING[0])
+@example(*RELEASING[1])
+@example(*RELEASING[2])
+@example(*RELEASING[3])
+def test_projection_matches_the_reference_loop_byte_for_byte(seed, case):
+    # The lean loop (first try on A and b, z - x once, multipliers split by
+    # F and W) computes what the loop that rebuilt every try computed.
+    A, b, lb, x = projection_case(seed, case)
+    want = reference.project_polyhedral(A, b, lb, x)
+    got = project_polyhedral(A, b, None if case == "no_bounds" else lb, x)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed, case", RELEASING)
+def test_the_releasing_cases_release_a_pin(seed, case):
+    released = []
+    reference.project_polyhedral(*projection_case(seed, case), released=released)
+    assert released
 
 
 # -- the face memo --------------------------------------------------------------

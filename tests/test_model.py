@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from scsopt import simplex
 from scsopt.exceptions import DimensionMismatch, InfeasibleRegion
 from scsopt.model import (
@@ -306,6 +307,45 @@ def test_drawn_atom_index_is_the_enumerated_row(seed):
     assert support.atoms.tolist() == list(range(len(support)))
     assert drawn.xi.tobytes() == support.xi[drawn.atoms].tobytes()
     assert drawn.C.tobytes() == support.C[drawn.atoms].tobytes()
+
+
+def random_discrete(rng):
+    k = int(rng.integers(1, 6))
+    probs = rng.uniform(0.5, 1.5, k)
+    probs /= probs.sum()
+    probs[-1] = 1.0 - probs[:-1].sum()
+    return Discrete(tuple(rng.normal(size=k)), tuple(probs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 100_000), st.sampled_from(["discrete", "uniform", "normal"]), st.booleans())
+def test_draws_match_the_reference_byte_for_byte(seed, marginals, above_limit):
+    # Reading the case and the radix from the problem, and placing rows into
+    # broadcast copies, leaves every byte and the stream where they were:
+    # rhs and tech entries; discrete only (atom indices), with uniform ones,
+    # or with a normal one (row by row); a support at or above the limit.
+    rng = np.random.default_rng(seed)
+    entries = []
+    for _ in range(int(rng.integers(0, 5))):
+        lo = float(rng.normal())
+        dist = (random_discrete(rng) if marginals == "discrete" or rng.random() < 0.5
+                else Uniform(lo, lo + float(rng.uniform(0.1, 3.0))))
+        kind = "rhs" if rng.random() < 0.5 else "tech"
+        entries.append(RandomEntry(kind, int(rng.integers(2)), int(rng.integers(2)), dist=dist))
+    if marginals == "normal":
+        entries.insert(int(rng.integers(len(entries) + 1)), RandomEntry("tech", 1, 0, dist=Normal(0.0, 1.0)))
+    p = simple_problem(stochastic_map=entries)
+    n = int(rng.integers(1, 50))
+    limit = (p.support_size() or 1) - above_limit
+    with mock.patch("scsopt.model._MAX_SCENARIOS", limit):
+        got_rng, ref_rng = substream(seed, "batch", 3), substream(seed, "batch", 3)
+        got, want = draw_scenarios(p, got_rng, n), reference.draw_scenarios(p, ref_rng, n)
+    for field in ("xi", "C", "weights", "atoms"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert got_rng.random() == ref_rng.random()
 
 
 def test_rows_without_an_atom_index(monkeypatch):

@@ -3,7 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from scsopt import simplex
 from scsopt.qpsolve import kkt_holds, solve_qp
 from scsopt.simplex import solve_lp_bounded
@@ -196,3 +199,45 @@ def test_a_failed_polish_keeps_the_loop_iterate(monkeypatch):
         stat = grad - A.T @ res.pi - res.mu
         assert kkt_holds(A, b, lb, res.x, ~res.working_set, grad, stat, res.mu)
         assert abs(res.obj - want.obj) <= 1e-9 * (1.0 + abs(want.obj))
+
+
+def _fixed_point(f, t=0.0):
+    """The float t with f(t) == t, by iterating f from t (a contraction here)."""
+    while f(t) != t:
+        t = f(t)
+    return t
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(1, 6),
+       st.sampled_from(["random", "stat", "bound", "rows", "mu"]), st.integers(-1, 1))
+def test_kkt_holds_matches_the_reference_byte_for_byte(seed, m, n, edge, side):
+    # Dropping the float and np.all wrappers changes no answer: random data,
+    # no rows, an empty free set, -inf bounds, and one value exactly at a
+    # tolerance (side 0) or one ulp either side of it.
+    rng = np.random.default_rng(seed)
+    A, x, grad = rng.normal(size=(m, n)), rng.normal(size=n), rng.normal(size=n)
+    free = rng.random(n) < rng.uniform(0.0, 1.0)  # sometimes empty, sometimes all
+    lb = np.where(rng.random(n) < 0.3, -np.inf, x - rng.uniform(-1e-9, 1.0, n))
+    stat = np.where(free, 1e-10 * rng.normal(size=n), 0.0)
+    mu = np.where(free, 0.0, rng.uniform(-1e-8, 1.0, n))
+    nudge = lambda v: v if side == 0 else np.nextafter(v, side * np.inf)  # noqa: E731
+    scale = 1.0 + np.abs(grad).max(initial=0.0)
+    j = int(rng.integers(n))
+    if edge == "stat" and free[j]:
+        stat[j] = nudge(1e-9 * scale) * (1.0 if rng.random() < 0.5 else -1.0)
+    elif edge == "bound" and free[j] and n > 1:
+        x[j], lb[j] = 0.0, 0.0
+        x[j] = nudge(-1e-9 * (1.0 + np.abs(x).max()))  # lb_j minus the tolerance, within the max
+    b = A @ x + 1e-10 * rng.normal(size=m)
+    if edge == "rows" and m > 0:
+        A[:] = 0.0  # residual -b: put max|b| at 1e-8 (1 + max|b|)
+        b[:] = 0.0
+        b[0] = nudge(_fixed_point(lambda t: 1e-8 * (1.0 + t)))
+    elif edge == "mu" and not free[j]:
+        mu[j] = nudge(-1e-8 * scale)
+    want = reference.kkt_holds(A, b, lb, x, free, grad, stat, mu)
+    assert kkt_holds(A, b, lb, x, free, grad, stat, mu) is want
+    assert kkt_holds(A, b, lb, x, np.flatnonzero(free), grad, stat, mu) is want
+    # the projection's form: the residual given on F only, the multipliers on W only
+    assert kkt_holds(A, b, lb, x, free, grad, stat[free], mu[~free]) is want
