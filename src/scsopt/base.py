@@ -40,13 +40,6 @@ class ParamsMixin:
         return f"{type(self).__name__}({args})"
 
 
-def scheduled_eval(solver, x, k, final=False):
-    """``solver.eval_fn(x)`` at every ``eval_every``-th iteration k and at the last, else NaN."""
-    if solver.eval_fn is None or not (final or solver.eval_every <= 1 or k % solver.eval_every == 0):
-        return float("nan")
-    return float(solver.eval_fn(x))
-
-
 def check_finite(arr, name):
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")

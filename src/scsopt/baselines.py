@@ -4,6 +4,12 @@ Both baselines consume identical scenario streams for identical seeds and
 batch schedules: batch k always comes from the ("batch", k) substream of the
 master seed, independent of which solver is running.  That is the fairness
 contract the comparison harness relies on.
+
+A fit sets ``x_``, ``history_``, ``x_path_``, ``n_iter_``, ``status_`` and
+``converged_``.  ``history_`` has one record per step, with f_eval NaN: the
+harness scores held-out estimates after the fit, at the point each record
+describes, which ``x_path_`` holds (the iterate for SGD, the running average
+for SMD); its last entry is ``x_``.
 """
 
 import time
@@ -11,7 +17,7 @@ import time
 import numpy as np
 
 from . import linalg, model, oracle
-from .base import ParamsMixin, scheduled_eval
+from .base import ParamsMixin
 from .records import IterateRecord
 from .rng import substream
 
@@ -19,14 +25,11 @@ from .rng import substream
 class _BaselineSolver(ParamsMixin):
     uniform_average = False  # report the uniform average of the iterates, not the last
 
-    def __init__(self, c=None, batch=8, iters=200, seed=0, eval_fn=None, eval_every=1,
-                 record_wall_time=True):
+    def __init__(self, c=None, batch=8, iters=200, seed=0, record_wall_time=True):
         self.c = c
         self.batch = batch
         self.iters = iters
         self.seed = seed
-        self.eval_fn = eval_fn
-        self.eval_every = eval_every
         self.record_wall_time = record_wall_time
 
     def _validate(self):
@@ -41,7 +44,7 @@ class _BaselineSolver(ParamsMixin):
         lb = problem.lower_bounds
         base = self._base_step(problem, x)
         x_sum = x.copy()
-        self.history_ = []
+        self.history_, self.x_path_ = [], []
         for k in range(1, self.iters + 1):
             tic = time.perf_counter() if self.record_wall_time else 0.0
             batch = model.draw_scenarios(problem, substream(self.seed, "batch", k), self.batch)
@@ -52,13 +55,13 @@ class _BaselineSolver(ParamsMixin):
             x_sum += x
             rep = x_sum / (k + 1) if self.uniform_average else x
             f_S = F.value(rep)
-            f_eval = scheduled_eval(self, rep, k, final=k == self.iters)
             wall = (time.perf_counter() - tic) * 1e3 if self.record_wall_time else 0.0
             self.history_.append(IterateRecord(
-                k=k, f_S=f_S, f_eval=f_eval, d_norm=float(np.linalg.norm(g)),
+                k=k, f_S=f_S, f_eval=float("nan"), d_norm=float(np.linalg.norm(g)),
                 delta=0.0, sample_size=self.batch, step_t=alpha, accepted=True,
                 wall_ms=wall))
-        self.x_ = x_sum / (self.iters + 1) if self.uniform_average else x
+            self.x_path_.append(rep)
+        self.x_ = rep
         self.n_iter_ = self.iters
         self.status_ = "max_iter"
         self.converged_ = False
@@ -87,26 +90,13 @@ class SmdSolver(_BaselineSolver):
     """Stochastic mirror descent with the Euclidean distance-generating function.
 
     The prox step then coincides with a projected subgradient step of size
-    c / (G_bound sqrt(k)); ``G_bound`` is the user-supplied bound on the
-    subgradient norm the method requires up front, and ``c`` absorbs the
-    domain-diameter constant of the step policy (None takes 1 + ||x0||, x0
-    the starting point).  The fit reports the uniform average of the
-    iterates.
+    c / sqrt(k), where c stands for the method's domain-diameter constant
+    over the bound on the subgradient norm it requires up front (None takes
+    1 + ||x0||, x0 the starting point, for a subgradient-norm bound of 1).
+    The fit reports the uniform average of the iterates.
     """
 
     uniform_average = True
 
-    def __init__(self, c=None, G_bound=1.0, batch=8, iters=200, seed=0, eval_fn=None,
-                 eval_every=1, record_wall_time=True):
-        super().__init__(c=c, batch=batch, iters=iters, seed=seed, eval_fn=eval_fn,
-                         eval_every=eval_every, record_wall_time=record_wall_time)
-        self.G_bound = G_bound
-
-    def _validate(self):
-        super()._validate()
-        if not self.G_bound > 0.0:
-            raise ValueError("G_bound must be positive")
-
     def _base_step(self, problem, x0):
-        c = float(self.c) if self.c is not None else 1.0 + float(np.linalg.norm(x0))
-        return c / self.G_bound
+        return float(self.c) if self.c is not None else 1.0 + float(np.linalg.norm(x0))

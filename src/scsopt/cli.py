@@ -10,6 +10,7 @@ stream instead, which is not part of the reproducibility contract).
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -50,6 +51,11 @@ class RunConfig:
             raise ValueError("replications must be >= 1")
         if self.eval_sample_size < 1:
             raise ValueError("eval_sample_size must be >= 1")
+        # A solver section's eval_every sets the harness's schedule for that solver.
+        self.params = dict(self.params)
+        self.eval_every = self.params.pop("eval_every", self.eval_every)
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
 
 
 @dataclass
@@ -110,21 +116,25 @@ def _extensive_optimum(problem):
     return float(sol.value), program.oracle
 
 
-def _build_solver(config, rep_seed, eval_fn):
-    params = dict(config.params)
-    params.setdefault("eval_every", config.eval_every)
-    common = dict(seed=rep_seed, eval_fn=eval_fn, record_wall_time=False)
-    if config.solver == "scs":
-        return scs.ScsSolver(**params, **common)
-    if config.solver == "sgd":
-        return baselines.SgdSolver(**params, **common)
-    if config.solver == "smd":
-        return baselines.SmdSolver(**params, **common)
-    raise ValueError(config.solver)
+def _build_solver(config, rep_seed):
+    cls = {"scs": scs.ScsSolver, "sgd": baselines.SgdSolver, "smd": baselines.SmdSolver}[config.solver]
+    return cls(**config.params, seed=rep_seed, record_wall_time=False)
+
+
+def _scored(history, x_path, eval_fn, eval_every):
+    """``history`` with f_eval = eval_fn(x_path[k-1]) at every ``eval_every``-th record k and the last."""
+    n = len(history)
+    return [dataclasses.replace(rec, f_eval=float(eval_fn(x))) if k % eval_every == 0 or k == n else rec
+            for k, (rec, x) in enumerate(zip(history, x_path), start=1)]
 
 
 def run_experiment(config, log=None):
-    """Run one solver on one instance over n replications; write CSVs + summary."""
+    """Run one solver on one instance over n replications; write CSVs + summary.
+
+    After each fit, the held-out estimate f_eval of every ``eval_every``-th
+    record and of the last is scored at the point the record describes
+    (``solver.x_path_``).
+    """
     log = log or (lambda msg: print(msg, file=sys.stderr))
     problem, _sampler = load_instance(config.instance, config.fmt, seed=config.seed)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -150,10 +160,9 @@ def run_experiment(config, log=None):
                 wall_ms=0.0)]
             final = f_star
         else:
-            solver = _build_solver(config, rep_seed, eval_fn)
-            solver.fit(problem)
-            history = solver.history_
-            final = eval_fn(solver.x_)
+            solver = _build_solver(config, rep_seed).fit(problem)
+            history = _scored(solver.history_, solver.x_path_, eval_fn, config.eval_every)
+            final = history[-1].f_eval
         elapsed = time.perf_counter() - tic
         path = os.path.join(config.out_dir, f"{config.solver}_rep{r:03d}.csv")
         write_history_csv(path, history)

@@ -25,10 +25,6 @@ class NumericalBreakdown(ScsoptError):
     """An LP/QP engine lost numerical reliability (ill-conditioned basis, pivot limit)."""
 
 
-class RankDeficientD(ScsoptError):
-    """The second-stage equality matrix is not full row rank where that is required."""
-
-
 class NonPositiveDelta(ScsoptError):
     """The sampling radius must be strictly positive."""
 

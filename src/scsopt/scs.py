@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, model, oracle
-from .base import ParamsMixin, scheduled_eval
+from .base import ParamsMixin
 from .exceptions import NonPositiveDelta, ZeroCap
 from .records import IterateRecord
 from .rng import substream
@@ -321,8 +321,6 @@ class ScsSolver(ParamsMixin):
     max_iter, max_sample : iteration and sample-size caps.
     sampling : "iid" grows a cumulative i.i.d. sample per the schedule;
         "full" uses the exact finite support (requires discrete marginals).
-    eval_fn : optional callable x -> float logged as the held-out estimate.
-    eval_every : log eval_fn every this many iterations (always at the end).
     track_trials : record every line-search trial point (feasibility audits).
     record_wall_time : measure per-iteration wall time; False writes 0.0,
         keeping emitted logs byte-reproducible.
@@ -338,10 +336,13 @@ class ScsSolver(ParamsMixin):
     norm seen at the starting point; under "full" sampling no schedule runs,
     no pilot is drawn, and ``kappa_`` is None.
 
-    Attributes set by fit: ``x_``, ``history_``, ``diagnostics_``,
-    ``trial_points_``, ``converged_``, ``status_``, ``n_iter_``, ``kappa_``,
-    ``null_space_``, ``f_in_sample_``, ``d_norm_``.  ``status_`` is
-    "converged" (a norm rule stopped the fit) or "max_iter".
+    Attributes set by fit: ``x_``, ``history_``, ``x_path_``,
+    ``diagnostics_``, ``trial_points_``, ``converged_``, ``status_``,
+    ``n_iter_``, ``kappa_``, ``null_space_``, ``f_in_sample_``, ``d_norm_``.
+    ``status_`` is "converged" (a norm rule stopped the fit) or "max_iter".
+    Each ``history_`` record carries f_eval NaN; ``x_path_`` holds the
+    incumbent it describes, so a held-out estimate can be scored after the
+    fit (the harness does), and ends at ``x_``.
     ``null_space_`` is the (n1, k) array ``linalg.null_space_basis(A)``,
     whose rank counts the singular values of A above 1e-10 of the largest.
     A single-point feasible set has a ``null_space_`` with no columns: its
@@ -350,8 +351,7 @@ class ScsSolver(ParamsMixin):
 
     def __init__(self, eps=1e-3, eta2=0.1, delta0=1.0, delta_max=100.0, delta_min=None,
                  bound_lo=None, bound_hi=None, max_iter=500, max_sample=2000, seed=0,
-                 sampling="iid", eval_fn=None, eval_every=1, track_trials=True,
-                 record_wall_time=True):
+                 sampling="iid", track_trials=True, record_wall_time=True):
         self.eps = eps
         self.eta2 = eta2
         self.delta0 = delta0
@@ -363,8 +363,6 @@ class ScsSolver(ParamsMixin):
         self.max_sample = max_sample
         self.seed = seed
         self.sampling = sampling
-        self.eval_fn = eval_fn
-        self.eval_every = eval_every
         self.track_trials = track_trials
         self.record_wall_time = record_wall_time
 
@@ -474,6 +472,7 @@ class ScsSolver(ParamsMixin):
         lb = problem.lower_bounds
 
         self.history_ = []
+        self.x_path_ = []
         self.diagnostics_ = []
         self.trial_points_ = []
 
@@ -603,9 +602,10 @@ class ScsSolver(ParamsMixin):
                 g_carry = F_S.subgrad(ls.x_cut if ls.x_cut is not None else x_hat)
             wall = (time.perf_counter() - tic) * 1e3 if self.record_wall_time else 0.0
             self.history_.append(IterateRecord(
-                k=k, f_S=F_S.value(x_hat), f_eval=scheduled_eval(self, x_hat, k, final=stop),
-                d_norm=dn, delta=delta, sample_size=len(F_S),
-                step_t=ls.t if ls.success else 0.0, accepted=accepted, wall_ms=wall))
+                k=k, f_S=F_S.value(x_hat), f_eval=float("nan"), d_norm=dn, delta=delta,
+                sample_size=len(F_S), step_t=ls.t if ls.success else 0.0, accepted=accepted,
+                wall_ms=wall))
+            self.x_path_.append(x_hat)
             self.diagnostics_.append(IterationDiagnostics(
                 k=k, lam=lam, g_norm=float(np.linalg.norm(g_t)), dot_dg=dot_dg, d_norm=dn,
                 t_max=t_max, ls_reason=ls.reason, ls_evals=ls.n_evals, f_before=ls.f_before,

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from closed_form import closed_form_dual_value, closed_form_multiplier
 from instances import iid_params, make_two_stage, scenario_subgrad, sqlp_fixtures, sqqp_fixtures
 from scsopt.baselines import SgdSolver, SmdSolver
 from scsopt.cli import RunConfig, run_experiment
@@ -21,12 +22,7 @@ from scsopt.model import (
     extensive_form,
     true_objective,
 )
-from scsopt.oracle import (
-    SaaFunction,
-    closed_form_dual_value,
-    closed_form_multiplier,
-    solve_recourse,
-)
+from scsopt.oracle import SaaFunction, solve_recourse
 from scsopt.rng import substream
 from scsopt.scs import ScsSolver, hoeffding_bound, lambda_star, line_search, sample_size
 from scsopt.smps import load_smps

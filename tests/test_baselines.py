@@ -204,23 +204,22 @@ def test_only_sgd_sets_its_default_step_from_a_pilot(monkeypatch):
 
 def test_huge_g_bound_freezes_smd():
     p = make_two_stage(seed=44, n1=4, m1=1, m2=2, n_base=2, rhs_random=1, support_k=(3,))
-    solver = SmdSolver(G_bound=1e9, batch=2, iters=15, seed=0, record_wall_time=False)
+    c = (1.0 + float(np.linalg.norm(initial_feasible_point(p)))) / 1e9
+    solver = SmdSolver(c=c, batch=2, iters=15, seed=0, record_wall_time=False)
     solver.fit(p)
-    from scsopt.model import initial_feasible_point
-
     assert np.linalg.norm(solver.x_ - initial_feasible_point(p)) <= 1e-6
 
 
 def test_uniform_averaging_beats_last_often():
-    # SGD with SMD's step c / G_bound draws the same batches and takes the
-    # same steps, so it reports the last of SMD's iterates.
+    # SGD with SMD's step c draws the same batches and takes the same steps,
+    # so it reports the last of SMD's iterates.
     p = make_two_stage(seed=45, n1=4, m1=1, m2=2, n_base=2, rhs_random=2, support_k=(3, 3))
     sup = enumerate_support(p)
     F = SaaFunction(p, sup)
     c = (1.0 + float(np.linalg.norm(initial_feasible_point(p)))) / 3.0
     better = 0
     for seed in range(10):
-        avg = SmdSolver(G_bound=3.0, batch=4, iters=60, seed=seed, record_wall_time=False).fit(p)
+        avg = SmdSolver(c=c, batch=4, iters=60, seed=seed, record_wall_time=False).fit(p)
         last = SgdSolver(c=c, batch=4, iters=60, seed=seed, record_wall_time=False).fit(p)
         if F.value(avg.x_) <= F.value(last.x_):
             better += 1
@@ -241,7 +240,8 @@ def test_functional_wrappers():
     p = deterministic_qp()
     hist = SgdSolver(batch=1, iters=10, seed=0, record_wall_time=False).fit(p).history_
     assert len(hist) == 10
-    hist2 = SmdSolver(batch=1, iters=10, seed=0, G_bound=2.0, record_wall_time=False).fit(p).history_
+    c = (1.0 + float(np.linalg.norm(initial_feasible_point(p)))) / 2.0
+    hist2 = SmdSolver(batch=1, iters=10, seed=0, c=c, record_wall_time=False).fit(p).history_
     assert len(hist2) == 10
 
 
@@ -259,6 +259,18 @@ def test_param_validation():
     with pytest.raises(ValueError):
         SgdSolver(c=-1.0).fit(deterministic_qp())
     with pytest.raises(ValueError):
-        SmdSolver(G_bound=0.0).fit(deterministic_qp())
+        SmdSolver(c=0.0).fit(deterministic_qp())
+    for cls in (SgdSolver, SmdSolver):
+        with pytest.raises(TypeError):
+            cls(G_bound=2.0)
+
+
+@pytest.mark.parametrize("cls", [SgdSolver, SmdSolver])
+def test_x_path_holds_the_reported_point_of_each_record_and_ends_at_x(cls):
+    p = make_two_stage(seed=45, n1=4, m1=1, m2=2, n_base=2, rhs_random=2, support_k=(3, 3))
+    solver = cls(batch=4, iters=12, seed=2, record_wall_time=False).fit(p)
+    assert len(solver.x_path_) == len(solver.history_) == 12
+    np.testing.assert_array_equal(solver.x_path_[-1], solver.x_)
+    assert all(np.isnan(rec.f_eval) for rec in solver.history_)
     with pytest.raises(TypeError):
-        SgdSolver(G_bound=2.0)
+        cls(eval_every=2)

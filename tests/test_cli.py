@@ -201,6 +201,65 @@ def test_compare_single_solver_is_its_history(tmp_path, instance_path):
     assert series == pytest.approx([r.f_eval for r in hist])
 
 
+def test_a_capped_scs_fit_scores_its_last_record(tmp_path):
+    # Ten SCS iterations on LandS end at the cap, off the every-4th schedule.
+    cfg = RunConfig(instance="instances/lands_toy.cor", solver="scs", params=dict(max_iter=10),
+                    eval_every=4, out_dir=str(tmp_path))
+    summary = run_experiment(cfg, log=lambda m: None)
+    rows = read_history_csv(summary.csv_paths[0])
+    assert len(rows) == 10
+    assert [r.k for r in rows if not math.isnan(r.f_eval)] == [4, 8, 10]
+    assert rows[-1].f_eval == summary.final_values[0]
+
+
+@pytest.mark.parametrize("solver, params", [
+    ("scs", SCS_FAST), ("sgd", dict(batch=2, iters=10)), ("smd", dict(batch=2, iters=10))])
+def test_a_due_record_carries_eval_fn_at_its_point_and_others_nan(
+        tmp_path, instance_path, monkeypatch, solver, params):
+    built, calls = [], []
+    build, evaluation = cli._build_solver, cli._evaluation_function
+
+    def recording(*args):
+        eval_fn = evaluation(*args)
+        return lambda x: calls.append((x, eval_fn(x))) or calls[-1][1]
+
+    monkeypatch.setattr(cli, "_build_solver", lambda *a: built.append(build(*a)) or built[-1])
+    monkeypatch.setattr(cli, "_evaluation_function", recording)
+    cfg = RunConfig(instance=instance_path, solver=solver, params=dict(params), eval_sample_size=32,
+                    eval_every=3, out_dir=str(tmp_path), seed=4)
+    history = run_experiment(cfg, log=lambda m: None).histories[0]
+    (fitted,) = built
+    n = len(history)
+    due = [k for k in range(1, n + 1) if k % 3 == 0 or k == n]
+    assert n > 3 and len(calls) == len(due)
+    assert all(x is fitted.x_path_[k - 1] for (x, _), k in zip(calls, due))
+    assert [history[k - 1].f_eval for k in due] == [v for _, v in calls]
+    assert all(math.isnan(rec.f_eval) for rec in history if rec.k not in due)
+
+
+def test_a_solver_section_sets_its_own_eval_every(tmp_path, instance_path):
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text(
+        "eval_sample_size = 32\neval_every = 2\n"
+        "[scs]\neval_every = 3\neps = 0.05\nmax_iter = 10\nmax_sample = 48\ndelta0 = 2.0\n"
+        "[sgd]\nbatch = 2\niters = 9\n")
+    code = main(["compare", "--instance", instance_path, "--solvers", "scs,sgd",
+                 "--config", str(cfg_path), "--out", str(tmp_path / "cmp"), "--seed", "1"])
+    assert code == 0
+    for name, every in (("scs", 3), ("sgd", 2)):
+        rows = read_history_csv(tmp_path / "cmp" / name / f"{name}_rep000.csv")
+        scored = [r.k for r in rows if not math.isnan(r.f_eval)]
+        assert len(rows) > every
+        assert scored == [k for k in range(1, len(rows) + 1) if k % every == 0 or k == len(rows)]
+
+
+def test_eval_every_below_one_is_refused():
+    with pytest.raises(ValueError, match="eval_every"):
+        RunConfig(instance="x", solver="scs", eval_every=0)
+    with pytest.raises(ValueError, match="eval_every"):
+        RunConfig(instance="x", solver="sgd", params=dict(eval_every=0))
+
+
 def test_config_file_sections(tmp_path):
     cfg_path = tmp_path / "params.cfg"
     cfg_path.write_text(
@@ -236,8 +295,8 @@ def test_main_solve_and_exit_codes(tmp_path, instance_path, capsys):
                  "--config", str(bad_cfg), "--out", str(tmp_path / "out3")])
     assert code == 2
 
-    # only SMD reads G_bound
-    bad_cfg.write_text("[sgd]\nG_bound = 2.0\n")
+    # only SCS reads max_sample
+    bad_cfg.write_text("[sgd]\nmax_sample = 2\n")
     code = main(["solve", "--instance", instance_path, "--solver", "sgd",
                  "--config", str(bad_cfg), "--out", str(tmp_path / "out4")])
     assert code == 2

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from closed_form import closed_form_dual_value, closed_form_multiplier
 from instances import scenario_subgrad
 from scsopt.exceptions import DimensionMismatch, RecourseInfeasible
 from scsopt.model import (
@@ -15,12 +16,7 @@ from scsopt.model import (
     enumerate_support,
     true_objective,
 )
-from scsopt.oracle import (
-    SaaFunction,
-    closed_form_dual_value,
-    closed_form_multiplier,
-    solve_recourse,
-)
+from scsopt.oracle import SaaFunction, solve_recourse
 from scsopt.rng import substream
 from scsopt.model import draw_scenarios
 from scsopt.scs import ScsSolver, _joined

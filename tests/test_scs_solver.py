@@ -293,6 +293,15 @@ def test_parameter_validation():
         ScsSolver(delta0=1.0, delta_min=5.0).fit(single_point([0.4, 0.6]))
 
 
+def test_x_path_holds_the_incumbent_of_each_record_and_ends_at_x():
+    fx = sqlp_fixtures()[0]
+    s = ScsSolver(seed=5, record_wall_time=False, **iid_params()).fit(fx.problem)
+    assert len(s.x_path_) == len(s.history_) and s.x_path_[-1] is s.x_
+    assert all(np.isnan(rec.f_eval) for rec in s.history_)
+    with pytest.raises(TypeError):
+        ScsSolver(eval_every=2)
+
+
 def test_wall_time_suppression():
     s = ScsSolver(eps=1e-4, sampling="full", max_iter=50, seed=0, record_wall_time=False)
     s.fit(deterministic_qp())
