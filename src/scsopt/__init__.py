@@ -6,7 +6,6 @@ from .model import (
     Discrete,
     Normal,
     RandomEntry,
-    Scenario,
     ScenarioSampler,
     ScenarioSet,
     TwoStageProblem,
@@ -32,7 +31,6 @@ __all__ = [
     "RandomEntry",
     "RunConfig",
     "SaaFunction",
-    "Scenario",
     "ScenarioSampler",
     "ScenarioSet",
     "ScsSolver",

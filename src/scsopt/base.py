@@ -69,9 +69,9 @@ def as_vector(value, n=None, name="vector"):
 
 
 def as_lower_bounds(value, n):
-    """None, or a length-n vector of bounds that are finite or -inf."""
+    """A length-n vector of bounds that are finite or -inf; None gives n entries of -inf."""
     if value is None:
-        return None
+        return np.full(n, -np.inf)
     lb = np.asarray(value, dtype=float).reshape(-1)
     if lb.size != n:
         raise DimensionMismatch(f"lower_bounds has length {lb.size}, expected {n}")

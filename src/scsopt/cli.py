@@ -308,13 +308,9 @@ def _config_for_solver(sections, solver):
 def _run_config(args, sections, solver, out_dir):
     """RunConfig of one solver from the command line and the config file's sections."""
     params, harness = _config_for_solver(sections, solver)
-    return RunConfig(
-        instance=args.instance, solver=solver, fmt=args.format, params=params,
-        out_dir=out_dir, seed=args.seed,
-        replications=harness.get("replications", args.replications),
-        eval_sample_size=harness.get("eval_sample_size", 10_000),
-        eval_every=harness.get("eval_every", 1),
-    )
+    harness.setdefault("replications", args.replications)
+    return RunConfig(instance=args.instance, solver=solver, fmt=args.format, params=params,
+                     out_dir=out_dir, seed=args.seed, **harness)
 
 
 def _make_parser():

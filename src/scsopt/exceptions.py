@@ -29,10 +29,6 @@ class NonPositiveDelta(ScsoptError):
     """The sampling radius must be strictly positive."""
 
 
-class ZeroCap(ScsoptError):
-    """No strictly positive step is feasible along the current direction."""
-
-
 class MismatchedInstances(ScsoptError):
     """Run configurations meant to be compared do not share instance and seed."""
 

@@ -92,8 +92,6 @@ def project_polyhedral(A, b, lower_bounds, x):
     b = as_vector(b, A.shape[0], "b")
     x = as_vector(x, A.shape[1], "x")
     lb = as_lower_bounds(lower_bounds, x.size)
-    if lb is None:
-        lb = np.full(x.size, -np.inf)
     W = np.zeros(x.size, dtype=bool)
     # No pins yet: A_F is A in the column-major layout A[:, F] has (its products
     # round by layout), and A_W lb_W is +0.0, so r = b bit for bit.

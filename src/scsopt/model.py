@@ -107,6 +107,8 @@ class RandomEntry:
 class TwoStageProblem:
     """Validated container for one two-stage instance.
 
+    ``lower_bounds`` is always a length-n1 array; a free entry is -inf, and
+    None given for the whole vector means every entry is free.
     ``recourse_lo``/``recourse_hi`` are optional declared bounds on
     h(x, omega) over the feasible region (instance metadata consumed by the
     sampling schedule); they are not enforced here.
@@ -167,48 +169,36 @@ class TwoStageProblem:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.Q @ x + self.c @ x)
 
-    def has_finite_support(self):
-        return self._radix is not None
-
     def support_size(self):
         return None if self._radix is None else math.prod(self._radix)
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """Row i of a ScenarioSet, as indexing and iteration yield it."""
+
     xi: np.ndarray
     C: np.ndarray
     weight: float
-
-    def __post_init__(self):
-        if not self.weight > 0.0:
-            raise ValueError("scenario weight must be positive")
 
 
 class ScenarioSet:
     """Ordered scenarios whose weights sum to one, stored as arrays.
 
-    ``xi`` is N x m2, ``C`` is N x m2 x n1 and ``weights`` has length N.
-    ``atoms`` is None or, for rows of a finite support, each row's index in
-    ``enumerate_support``'s order; rows that share an index are equal.
-    Indexing or iterating yields ``Scenario`` views of single rows.
+    ``xi`` is N x m2, ``C`` is N x m2 x n1 and ``weights`` has N positive
+    entries; other shapes raise DimensionMismatch.  ``atoms`` is None or,
+    for rows of a finite support, each row's index in ``enumerate_support``'s
+    order; rows that share an index are equal.  Indexing or iterating yields
+    ``Scenario`` views of single rows.
     """
 
-    def __init__(self, scenarios):
-        scenarios = tuple(scenarios)
-        if not scenarios:
-            raise ValueError("scenario set must be non-empty")
-        self._assign(np.array([s.xi for s in scenarios]), np.array([s.C for s in scenarios]),
-                     np.array([s.weight for s in scenarios], dtype=float), None)
-
-    @classmethod
-    def from_arrays(cls, xi, C, weights, atoms=None):
-        out = cls.__new__(cls)
-        out._assign(xi, C, weights, atoms)
-        return out
-
-    def _assign(self, xi, C, weights, atoms):
-        if not (weights > 0.0).all():
+    def __init__(self, xi, C, weights, atoms=None):
+        xi, C = np.asarray(xi, dtype=float), np.asarray(C, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        if xi.ndim != 2 or C.ndim != 3 or C.shape[:2] != xi.shape or weights.shape != xi.shape[:1]:
+            raise DimensionMismatch(f"scenario arrays of shapes {xi.shape}, {C.shape} and "
+                                    f"{weights.shape} are not N x m2, N x m2 x n1 and N")
+        if not weights.min(initial=np.inf) > 0.0:  # a NaN weight fails it too
             raise ValueError("scenario weight must be positive")
         total = float(weights.sum())
         if abs(total - 1.0) > 1e-12 * len(weights):
@@ -225,11 +215,6 @@ class ScenarioSet:
         return Scenario(self.xi[i], self.C[i], float(self.weights[i]))
 
 
-def as_scenario_set(scenarios):
-    """``scenarios`` itself if it is a ScenarioSet, else a set built from Scenario items."""
-    return scenarios if isinstance(scenarios, ScenarioSet) else ScenarioSet(scenarios)
-
-
 def _place(problem, values, weights, atoms):
     """ScenarioSet whose row r carries ``values[r, j]`` at the position of stochastic entry j."""
     n = len(weights)
@@ -240,7 +225,7 @@ def _place(problem, values, weights, atoms):
             xi[:, entry.row] = values[:, j]
         else:
             C[:, entry.row, entry.col] = values[:, j]
-    return ScenarioSet.from_arrays(xi, C, weights, atoms)
+    return ScenarioSet(xi, C, weights, atoms)
 
 
 def draw_scenarios(problem, rng, n):
@@ -281,9 +266,9 @@ def enumerate_support(problem):
     and row r carries atom index r.  A support above ``_MAX_SCENARIOS`` atoms
     raises before anything is allocated.
     """
-    if not problem.has_finite_support():
-        raise ValueError("support enumeration requires finite (discrete) marginals")
     size = problem.support_size()
+    if size is None:
+        raise ValueError("support enumeration requires finite (discrete) marginals")
     if size > _MAX_SCENARIOS:
         raise ValueError(f"support has {size} scenarios, above limit {_MAX_SCENARIOS}")
     entries = problem.stochastic_map
@@ -329,8 +314,7 @@ class DeterministicProgram:
     """Deterministic equivalent over a finite scenario set.
 
     The program is  min 1/2 x'Qx + c'x + sum_i w_i g(y_i)  over [x, y_1, ..., y_N]
-    subject to Ax = b and C_i x + D y_i = xi_i, y_i >= 0 (plus x >= lb when
-    bounds are present).
+    subject to Ax = b, x >= lb and C_i x + D y_i = xi_i, y_i >= 0.
 
     A program with linear recourse is solved by multi-cut decomposition (Van
     Slyke and Wets, 1969; Birge and Louveaux, 1988).  The master has
@@ -357,7 +341,6 @@ class DeterministicProgram:
     """
 
     def __init__(self, problem, scenarios):
-        scenarios = as_scenario_set(scenarios)
         if scenarios.xi.shape[1:] != (problem.m2,) or scenarios.C.shape[1:] != (problem.m2, problem.n1):
             raise DimensionMismatch("scenario shapes do not match the problem")
         self.problem = problem
@@ -377,8 +360,7 @@ class DeterministicProgram:
         F = self.oracle = oracle.SaaFunction(p, self.scenarios)
         w = F.scenarios.weights
         N, n1 = w.size, p.n1
-        lb = np.concatenate([np.full(n1, -np.inf) if p.lower_bounds is None else p.lower_bounds,
-                             np.full(N, -np.inf)])
+        lb = np.concatenate([p.lower_bounds, np.full(N, -np.inf)])
         try:
             x = initial_feasible_point(p)
             rows = F._solutions(x)
@@ -438,7 +420,7 @@ class DeterministicProgram:
         b_eq = np.concatenate([p.b, S.xi.reshape(N * m2)])
         lin = np.concatenate([p.c, (S.weights[:, None] * p.d).reshape(N * n2)])
         lb = np.zeros(nv)
-        lb[:n1] = -np.inf if p.lower_bounds is None else p.lower_bounds
+        lb[:n1] = p.lower_bounds
         if self.is_lp:
             res, v = simplex.solve_lp_bounded(lin, A_eq, b_eq, lb)
             status, value = res.status, None if v is None else lin @ v

@@ -16,7 +16,7 @@ Layout (``#`` starts a comment, blank lines ignored)::
     C <m2> <n1>
     P <n2> <n2>                    # optional: quadratic second stage
     BOUNDS                         # optional section
-    lower <n1 values | none>       # default: none (free x)
+    lower <n1 values | none>       # default: none (free x); -inf frees one entry
     recourse <lo> <hi>             # optional declared bounds on h
     STOCH                          # optional section
     rhs <i> discrete <v>:<p> ...   # xi[i] random
@@ -197,13 +197,10 @@ def write_native(problem, path):
         _write_block(lines, key, arr)
     if problem.P is not None:
         _write_block(lines, "P", problem.P)
-    has_bounds = problem.lower_bounds is not None or problem.recourse_lo is not None
-    if has_bounds:
-        lines.append("BOUNDS")
-        if problem.lower_bounds is not None:
-            lines.append("lower " + " ".join(f"{v:.17g}" for v in problem.lower_bounds))
-        if problem.recourse_lo is not None:
-            lines.append(f"recourse {problem.recourse_lo:.17g} {problem.recourse_hi:.17g}")
+    lines.append("BOUNDS")
+    lines.append("lower " + " ".join(f"{v:.17g}" for v in problem.lower_bounds))  # -inf when free
+    if problem.recourse_lo is not None:
+        lines.append(f"recourse {problem.recourse_lo:.17g} {problem.recourse_hi:.17g}")
     if problem.stochastic_map:
         lines.append("STOCH")
         for e in problem.stochastic_map:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import model, qpsolve, simplex
 from .exceptions import DimensionMismatch, NumericalBreakdown, RecourseInfeasible
-from .model import ScenarioSet, as_scenario_set
+from .model import ScenarioSet
 from .rng import substream
 
 _CACHE_LIMIT = 128
@@ -127,13 +127,12 @@ class SaaFunction:
 
     def __init__(self, problem, scenarios):
         self.problem = problem
-        given = as_scenario_set(scenarios)
-        self._n = len(given)
-        self.scenarios, self._first = given, range(self._n)  # row i first appears at draw _first[i]
+        self._n = len(scenarios)
+        self.scenarios, self._first = scenarios, range(self._n)  # row i first appears at draw _first[i]
         self._row_of = None  # atom index -> row
-        if given.atoms is not None:
+        if scenarios.atoms is not None:
             self._row_of, first, count = {}, [], []  # per atom, in first-appearance order
-            for j, atom in enumerate(given.atoms.tolist()):
+            for j, atom in enumerate(scenarios.atoms.tolist()):
                 i = self._row_of.get(atom)
                 if i is None:
                     self._row_of[atom] = len(first)
@@ -144,8 +143,8 @@ class SaaFunction:
             if len(first) < self._n:
                 self._first = rows = np.array(first)
                 weights = np.array(count, dtype=float) / self._n
-                self.scenarios = ScenarioSet.from_arrays(given.xi[rows], given.C[rows], weights,
-                                                         given.atoms[rows])
+                self.scenarios = ScenarioSet(scenarios.xi[rows], scenarios.C[rows], weights,
+                                             scenarios.atoms[rows])
         self._cache = OrderedDict()
         self._basis_hint = None  # the last basis a scalar solve returned
         self._cells = {"tried": {}, "cells": [], "stack": (), "rows": {}}  # shared by siblings

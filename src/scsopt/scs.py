@@ -48,7 +48,7 @@ import numpy as np
 
 from . import linalg, model, oracle
 from .base import ParamsMixin
-from .exceptions import NonPositiveDelta, ZeroCap
+from .exceptions import NonPositiveDelta
 from .records import IterateRecord
 from .rng import substream
 
@@ -149,7 +149,7 @@ def step_cap(x, d_tilde, delta, lower_bounds, active):
     """Largest step t_max keeping x + t d in the ball and above the lower bounds.
 
     The ratio test skips the ``active`` bounds, whose coordinates the
-    direction keeps fixed.  Raises ZeroCap when no strictly positive step is
+    direction keeps fixed.  Returns 0.0 when no strictly positive step is
     feasible.
     """
     x = np.asarray(x, dtype=float)
@@ -159,16 +159,13 @@ def step_cap(x, d_tilde, delta, lower_bounds, active):
         raise ValueError("direction must be nonzero")
     t_ball = delta / dn
     t_bound = np.inf
-    if lower_bounds is not None:
-        lb = np.asarray(lower_bounds, dtype=float)
-        dec = (d < -1e-13 * (1.0 + np.abs(d).max())) & np.isfinite(lb)
-        for i in np.flatnonzero(dec):
-            if i not in active:
-                t_bound = min(t_bound, (x[i] - lb[i]) / (-d[i]))
+    lb = np.asarray(lower_bounds, dtype=float)
+    dec = (d < -1e-13 * (1.0 + np.abs(d).max())) & np.isfinite(lb)
+    for i in np.flatnonzero(dec):
+        if i not in active:
+            t_bound = min(t_bound, (x[i] - lb[i]) / (-d[i]))
     t_max = min(t_ball, t_bound)
-    if t_max <= 1e-14 * max(1.0, t_ball):
-        raise ZeroCap("no strictly positive feasible step along the direction")
-    return t_max
+    return 0.0 if t_max <= 1e-14 * max(1.0, t_ball) else t_max
 
 
 @dataclass
@@ -227,7 +224,7 @@ def line_search(F, Z, x, d_tilde, m1, m2, t_max, accept_boundary=False, boundary
         if ft < f0:
             any_descent = True
         in_L = (ft - f0) <= -m2 * t * dsq
-        gd = float(linalg.project_null(Z, gt) @ d) if Z is not None else float(gt @ d)
+        gd = float(linalg.project_null(Z, gt) @ d)
         if gd > gd_cut:
             gd_cut, x_cut = gd, xt
         if in_L and (0.0 > gd >= -m1 * dsq):
@@ -282,8 +279,8 @@ def _joined(S, more):
     """The i.i.d. draws of S followed by those of ``more``, each weighted 1/n."""
     n = len(S) + len(more)
     atoms = None if S.atoms is None else np.concatenate([S.atoms, more.atoms])
-    return model.ScenarioSet.from_arrays(np.concatenate([S.xi, more.xi]),
-                                         np.concatenate([S.C, more.C]), np.full(n, 1.0 / n), atoms)
+    return model.ScenarioSet(np.concatenate([S.xi, more.xi]), np.concatenate([S.C, more.C]),
+                             np.full(n, 1.0 / n), atoms)
 
 
 @dataclass
@@ -511,15 +508,14 @@ class ScsSolver(ParamsMixin):
             # Epsilon-active set: every bound the incumbent sits within the
             # activation thickness of is pinned (the incumbent is projected
             # onto that face, keeping the equality rows exact).
-            if lb is not None:
-                close = np.isfinite(lb) & (x_hat - lb <= thickness)
-                new_active = frozenset(np.flatnonzero(close).tolist())
-                if new_active != active:
-                    active = new_active
-                    x_hat = self._pin_to_face(problem, x_hat, active)
-                    Z_face = self._face_basis(problem, active)
-                    d_prev = np.zeros(problem.n1)
-                    g_carry = None
+            close = np.isfinite(lb) & (x_hat - lb <= thickness)
+            new_active = frozenset(np.flatnonzero(close).tolist())
+            if new_active != active:
+                active = new_active
+                x_hat = self._pin_to_face(problem, x_hat, active)
+                Z_face = self._face_basis(problem, active)
+                d_prev = np.zeros(problem.n1)
+                g_carry = None
 
             g = g_carry if g_carry is not None else F_S.subgrad(x_hat)
 
@@ -550,12 +546,11 @@ class ScsSolver(ParamsMixin):
             # sample grows.  alpha_j = F(x_hat) - f_j - g_j'(x_hat - x_j) makes g_j an
             # alpha_j-subgradient at x_hat; alpha_j <= eps delta bounds the aggregate's.
             if ls is None:
-                try:
-                    t_max = step_cap(x_hat, d, delta, lb, active)
+                t_max = step_cap(x_hat, d, delta, lb, active)
+                if t_max > 0.0:
                     ls = line_search(F_S, Z_face, x_hat, d, _M1, _M2, t_max,
                                      accept_boundary=True, boundary_floor=thickness)
-                except ZeroCap:
-                    t_max = 0.0
+                else:
                     ls = LineSearchResult(False, reason="zero_cap", f_before=F_S.value(x_hat))
                 if self.track_trials:
                     self.trial_points_.extend(x_j for x_j, _, _ in ls.trials)

@@ -93,4 +93,4 @@ def draw_scenarios(problem, rng, n):
             xi[:, entry.row] = values[:, j]
         else:
             C[:, entry.row, entry.col] = values[:, j]
-    return ScenarioSet.from_arrays(xi, C, np.full(n, 1.0 / n), atoms)
+    return ScenarioSet(xi, C, np.full(n, 1.0 / n), atoms)

@@ -164,7 +164,7 @@ class _PWL:
 
 
 def test_criterion_5_line_search():
-    res = line_search(_Quad(), None, np.array([1.0]), np.array([-1.0]), 0.4, 0.3, 2.0)
+    res = line_search(_Quad(), np.eye(1), np.array([1.0]), np.array([-1.0]), 0.4, 0.3, 2.0)
     assert res.success and 0.6 <= res.t < 1.0
     rng = np.random.default_rng(4)
     successes = 0
@@ -178,7 +178,7 @@ def test_criterion_5_line_search():
         dsq = float(d @ d)
         if dsq < 1e-12:
             continue
-        out = line_search(F, None, x, d, 0.4, 0.3, float(rng.uniform(0.5, 4.0)))
+        out = line_search(F, np.eye(3), x, d, 0.4, 0.3, float(rng.uniform(0.5, 4.0)))
         if out.success:
             successes += 1
             f0 = F.value(x)

@@ -12,8 +12,8 @@ from instances import make_two_stage
 from scsopt import cli, simplex
 from scsopt.cli import RunConfig, compare, load_instance, main, parse_config_file, run_experiment
 from scsopt.exceptions import MismatchedInstances, UnsupportedSolverForInstance
-from scsopt.model import (DeterministicProgram, Discrete, RandomEntry, TwoStageProblem, enumerate_support,
-                          extensive_form, initial_feasible_point)
+from scsopt.model import (DeterministicProgram, Discrete, RandomEntry, TwoStageProblem, Uniform,
+                          enumerate_support, extensive_form, initial_feasible_point)
 from scsopt.native import write_native
 from scsopt.oracle import solve_recourse
 from scsopt.records import read_history_csv, write_history_csv
@@ -302,6 +302,48 @@ def test_main_solve_and_exit_codes(tmp_path, instance_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("solver, dist", [
+    pytest.param("scs", Uniform(-2.0, -1.0), id="scs-continuous-marginal"),
+    pytest.param("extensive", Discrete((-2.0, -1.0), (0.5, 0.5)), id="extensive-finite-support"),
+])
+def test_main_solve_exits_3_when_the_second_stage_is_infeasible(tmp_path, capsys, solver, dist):
+    # y = xi - 0 x with y >= 0 has no solution at any x once xi < 0
+    p = TwoStageProblem(Q=[[0.0]], c=[0.0], A=[[1.0]], b=[1.0], D=[[1.0]], d=[1.0], xi=[-1.0],
+                        C=[[0.0]], stochastic_map=[RandomEntry("rhs", 0, dist=dist)])
+    path = tmp_path / "infeasible.prob"
+    write_native(p, path)
+    code = main(["solve", "--instance", str(path), "--solver", solver, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "solver error" in capsys.readouterr().err
+
+
+def test_main_exits_2_on_a_config_file_it_cannot_read(tmp_path, instance_path, capsys):
+    code = main(["solve", "--instance", instance_path, "--solver", "scs",
+                 "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_config_words_parse_to_bools_and_none(tmp_path, instance_path):
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text("[scs]\ndelta_min = none\ntrack_trials = false\nmax_iter = 5\n"
+                        "[smd]\nflag = TRUE\n")
+    sections = parse_config_file(str(cfg_path))
+    assert sections["scs"] == {"delta_min": None, "track_trials": False, "max_iter": 5}
+    assert sections["smd"] == {"flag": True}  # the words are read in any case
+    code = main(["solve", "--instance", instance_path, "--solver", "scs",
+                 "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
+def test_harness_defaults_come_from_run_config_alone(tmp_path, instance_path):
+    args = cli._make_parser().parse_args(["solve", "--instance", instance_path, "--solver", "scs"])
+    got = cli._run_config(args, {"": {"eval_every": 3}}, "scs", str(tmp_path))
+    want = RunConfig(instance=instance_path, solver="scs", out_dir=str(tmp_path), eval_every=3)
+    assert got == want
+    assert got.eval_sample_size == RunConfig.eval_sample_size
+
+
 def test_module_entry_point_runs_main_without_a_warning(tmp_path, instance_path):
     """``python -m scsopt`` is the command line for users without the console script."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -330,6 +372,13 @@ def test_load_instance_format_detection(instance_path):
     assert p.n1 == 4
     p2, _ = load_instance("instances/lands_toy.cor")
     assert p2.support_size() == 27
+
+
+def test_history_csv_with_a_wrong_header_is_refused(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("k,f\n1,2.0\n")
+    with pytest.raises(ValueError, match="header"):
+        read_history_csv(path)
 
 
 def test_history_csv_handles_nan(tmp_path):

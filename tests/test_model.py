@@ -13,7 +13,6 @@ from scsopt.model import (
     Discrete,
     Normal,
     RandomEntry,
-    Scenario,
     ScenarioSampler,
     ScenarioSet,
     TwoStageProblem,
@@ -65,9 +64,23 @@ class TestValidation:
             RandomEntry("tech", 0, 1, dist=(0.0, 1.0))
 
     def test_scenario_weights_must_sum(self):
-        s = Scenario(xi=np.zeros(1), C=np.zeros((1, 1)), weight=0.25)
         with pytest.raises(ValueError, match="sum"):
-            ScenarioSet([s, s])
+            ScenarioSet(np.zeros((2, 1)), np.zeros((2, 1, 1)), [0.25, 0.25])
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0], [1.5, -0.5], [0.5, np.nan]])
+    def test_scenario_weights_must_be_positive(self, weights):
+        with pytest.raises(ValueError, match="positive"):
+            ScenarioSet(np.zeros((2, 1)), np.zeros((2, 1, 1)), weights)
+
+    @pytest.mark.parametrize("xi, C, weights", [
+        pytest.param(np.zeros(2), np.zeros((1, 2, 2)), [1.0], id="xi-not-N-by-m2"),
+        pytest.param(np.zeros((1, 2)), np.zeros((1, 2)), [1.0], id="C-not-3d"),
+        pytest.param(np.zeros((1, 2)), np.zeros((1, 3, 2)), [1.0], id="C-rows-differ"),
+        pytest.param(np.zeros((2, 2)), np.zeros((2, 2, 2)), [1.0], id="weights-not-N"),
+    ])
+    def test_scenario_set_checks_its_shapes(self, xi, C, weights):
+        with pytest.raises(DimensionMismatch):
+            ScenarioSet(xi, C, weights)
 
 
 class TestSampling:
@@ -124,7 +137,7 @@ class TestSampling:
 class TestExtensiveForm:
     def test_single_scenario_lp_matches_direct(self):
         p = simple_problem(lower_bounds=[0.0, 0.0])
-        scen = ScenarioSet([Scenario(xi=np.array([2.0, 1.0]), C=p.C.copy(), weight=1.0)])
+        scen = ScenarioSet([[2.0, 1.0]], [p.C], [1.0])
         sol = extensive_form(p, scen).solve()
         assert sol.status == "optimal"
         # grid-search oracle over the feasible segment x1 + x2 = 1, x >= 0
@@ -134,12 +147,10 @@ class TestExtensiveForm:
 
     def test_two_scenarios_average(self):
         p = simple_problem(lower_bounds=[0.0, 0.0])
-        s1 = Scenario(xi=np.array([2.0, 1.0]), C=p.C.copy(), weight=0.5)
-        s2 = Scenario(xi=np.array([1.0, 2.0]), C=p.C.copy(), weight=0.5)
-        pair = ScenarioSet([s1, s2])
+        pair = ScenarioSet([[2.0, 1.0], [1.0, 2.0]], [p.C, p.C], [0.5, 0.5])
         x = np.array([0.4, 0.6])
-        one = true_objective(p, ScenarioSet([Scenario(s1.xi, s1.C, 1.0)]), x)
-        two = true_objective(p, ScenarioSet([Scenario(s2.xi, s2.C, 1.0)]), x)
+        one = true_objective(p, ScenarioSet(pair.xi[:1], pair.C[:1], [1.0]), x)
+        two = true_objective(p, ScenarioSet(pair.xi[1:], pair.C[1:], [1.0]), x)
         both = true_objective(p, pair, x)
         assert both == pytest.approx(0.5 * one + 0.5 * two, abs=1e-10)
 
@@ -157,7 +168,7 @@ class TestExtensiveForm:
 
     def test_quadratic_recourse_extensive(self):
         p = simple_problem(Q=np.eye(2), P=np.eye(4), lower_bounds=[0.0, 0.0])
-        sup = ScenarioSet([Scenario(xi=np.array([1.0, 0.5]), C=p.C.copy(), weight=1.0)])
+        sup = ScenarioSet([[1.0, 0.5]], [p.C], [1.0])
         sol = extensive_form(p, sup).solve()
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(true_objective(p, sup, sol.x), abs=1e-6)
@@ -173,7 +184,7 @@ class TestExtensiveForm:
 class TestTrueObjective:
     def test_zero_second_stage(self):
         p = simple_problem(d=[0.0, 0.0, 0.0, 0.0])
-        scen = ScenarioSet([Scenario(xi=p.xi.copy(), C=p.C.copy(), weight=1.0)])
+        scen = ScenarioSet([p.xi], [p.C], [1.0])
         x = np.array([0.5, 0.5])
         assert true_objective(p, scen, x) == pytest.approx(p.first_stage_cost(x), abs=1e-12)
 
@@ -357,7 +368,7 @@ def test_rows_without_an_atom_index(monkeypatch):
     assert draw_scenarios(p, substream(1, "sample"), 4).atoms is not None
     monkeypatch.setattr("scsopt.model._MAX_SCENARIOS", 3)  # a support of 4 atoms
     assert draw_scenarios(p, substream(1, "sample"), 4).atoms is None
-    assert ScenarioSet([Scenario(np.zeros(2), np.zeros((2, 2)), 1.0)]).atoms is None
+    assert ScenarioSet(np.zeros((1, 2)), np.zeros((1, 2, 2)), [1.0]).atoms is None
 
 
 def random_lp(seed, case, Q=None, scale=1.0):

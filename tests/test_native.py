@@ -3,7 +3,7 @@ import pytest
 
 from instances import make_two_stage
 from scsopt.exceptions import MalformedSection, ParseError
-from scsopt.model import enumerate_support, true_objective
+from scsopt.model import Normal, RandomEntry, TwoStageProblem, Uniform, enumerate_support, true_objective
 from scsopt.native import load_native, parse_native, write_native
 
 MINIMAL = """
@@ -98,3 +98,25 @@ def test_quadratic_recourse_round_trip(tmp_path):
     q, _ = load_native(str(path))
     assert q.quadratic_recourse
     np.testing.assert_array_equal(p.P, q.P)
+
+
+def test_round_trip_with_continuous_marginals_a_name_and_a_free_first_stage(tmp_path):
+    base = parse_native(MINIMAL)
+    p = TwoStageProblem(Q=base.Q, c=base.c, A=base.A, b=base.b, D=base.D, d=base.d, xi=base.xi,
+                        C=base.C, name="free_tiny", stochastic_map=[
+                            RandomEntry("rhs", 0, dist=Uniform(0.1, 0.7)),
+                            RandomEntry("tech", 0, 1, dist=Normal(0.1, 0.3))])
+    path = tmp_path / "free.prob"
+    write_native(p, path)
+    assert "lower -inf -inf" in path.read_text().splitlines()
+    q, _ = load_native(str(path))
+    assert q.name == "free_tiny"
+    np.testing.assert_array_equal(q.lower_bounds, [-np.inf, -np.inf])
+    assert q.stochastic_map == p.stochastic_map
+    assert q.support_size() is None
+
+
+def test_lower_none_still_loads_as_a_free_first_stage():
+    p = parse_native(MINIMAL.replace("lower 0.0 0.0", "lower none"))
+    np.testing.assert_array_equal(p.lower_bounds, [-np.inf, -np.inf])
+    assert p.recourse_lo == 0.0 and p.recourse_hi == 5.0

@@ -182,8 +182,8 @@ class TestClosedFormDual:
 class TestSaaFunction:
     def test_single_scenario_reduces(self):
         p = lp_problem()
-        s = Scenario(xi=np.array([2.0]), C=np.array([[1.0]]), weight=1.0)
-        F = SaaFunction(p, [s])
+        S = ScenarioSet([[2.0]], [[[1.0]]], [1.0])
+        F, s = SaaFunction(p, S), S[0]
         x = np.array([1.0])
         h, v = scenario_subgrad(p, x, s)
         assert F.value(x) == pytest.approx(p.first_stage_cost(x) + h)
@@ -191,8 +191,7 @@ class TestSaaFunction:
 
     def test_affine_region_constant_subgradient(self):
         p = lp_problem(Q=np.zeros((1, 1)), c=[0.5])
-        s = Scenario(xi=np.array([5.0]), C=np.array([[1.0]]), weight=1.0)
-        F = SaaFunction(p, [s])
+        F = SaaFunction(p, ScenarioSet([[5.0]], [[[1.0]]], [1.0]))
         g1 = F.subgrad(np.array([0.5]))
         g2 = F.subgrad(np.array([0.8]))
         np.testing.assert_allclose(g1, g2)
@@ -208,9 +207,7 @@ class TestSaaFunction:
 
     def test_infeasible_scenario_reported_with_index(self):
         p = lp_problem()
-        good = Scenario(xi=np.array([2.0]), C=np.array([[1.0]]), weight=0.5)
-        bad = Scenario(xi=np.array([-5.0]), C=np.array([[0.0]]), weight=0.5)
-        F = SaaFunction(p, [good, bad])
+        F = SaaFunction(p, ScenarioSet([[2.0], [-5.0]], [[[1.0]], [[0.0]]], [0.5, 0.5]))
         with pytest.raises(RecourseInfeasible) as err:
             F.value(np.array([1.0]))
         assert err.value.scenario_index == 1
@@ -218,8 +215,7 @@ class TestSaaFunction:
     def test_unbounded_recourse_reported_with_index(self):
         # min -y1 s.t. y1 - y2 = rhs, y >= 0: y1 grows without bound for any rhs
         p = lp_problem(D=[[1.0, -1.0]], d=[-1.0, 0.0])
-        S = [Scenario(xi=np.array([2.0]), C=np.array([[1.0]]), weight=0.5),
-             Scenario(xi=np.array([3.0]), C=np.array([[1.0]]), weight=0.5)]
+        S = ScenarioSet([[2.0], [3.0]], [[[1.0]], [[1.0]]], [0.5, 0.5])
         with pytest.raises(RecourseInfeasible, match=r"unbounded below \(scenario 0\)") as err:
             SaaFunction(p, S).value(np.array([1.0]))
         assert err.value.scenario_index == 0
@@ -282,7 +278,7 @@ def assert_grown_sibling_matches_fresh_set(seed, tech, quadratic):
         old.value_and_subgrad(x)
     F = old.sibling(_joined(first, more))
     n = len(first) + len(more)
-    fresh = SaaFunction(p, ScenarioSet.from_arrays(
+    fresh = SaaFunction(p, ScenarioSet(
         np.concatenate([first.xi, more.xi]), np.concatenate([first.C, more.C]),
         np.full(n, 1.0 / n)))
     assert len(F) == n and np.all(F.scenarios.weights == 1.0 / n)
@@ -337,7 +333,7 @@ class TestSaaDifferential:
         # active, so D_F has no columns and the KKT matrix is singular.
         xi, C = S.xi.copy(), S.C.copy()
         xi[3], C[3] = 0.0, 0.0
-        S = ScenarioSet.from_arrays(xi, C, S.weights)
+        S = ScenarioSet(xi, C, S.weights)
         F = SaaFunction(p, S)
         rng = np.random.default_rng(6)
         x0 = rng.normal(size=p.n1)
@@ -356,12 +352,11 @@ class TestSaaDifferential:
         # in which they were pooled decides v = -C'pi.
         p = lp_problem(D=[[1.0, -1.0]], d=[1.0, 1.0], C=[[1.0]], xi=[0.0])
         x = np.zeros(1)
-        F = SaaFunction(p, [Scenario(xi=np.array([xi]), C=np.array([[1.0]]), weight=0.5)
-                            for xi in (first_xi, -first_xi)])
+        F = SaaFunction(p, ScenarioSet([[first_xi], [-first_xi]], [[[1.0]], [[1.0]]], [0.5, 0.5]))
         F.value(x)
         assert [pi.tolist() for _, pi, _ in F._cells["cells"]] == [[first_xi], [-first_xi]]
         monkeypatch.setattr("scsopt.oracle.solve_recourse", None)  # the screen must settle it
-        T = F.sibling([Scenario(xi=np.array([0.0]), C=np.array([[1.0]]), weight=1.0)])
+        T = F.sibling(ScenarioSet([[0.0]], [[[1.0]]], [1.0]))
         assert T.value(x) == 0.0
         np.testing.assert_array_equal(T.subgrad(x), [want_v])
 
@@ -443,7 +438,7 @@ def discrete_problem(seed, tech, quadratic):
 
 def per_draw(S):
     """The same draws without their atom index: an oracle keeps one row per draw."""
-    return ScenarioSet.from_arrays(S.xi, S.C, S.weights)
+    return ScenarioSet(S.xi, S.C, S.weights)
 
 
 class TestMergedAtoms:
@@ -562,7 +557,7 @@ def test_shared_technology_right_hand_sides_match_the_batched_path(quadratic, se
 def covered(S, keep):
     """The draws of S whose atoms are in ``keep``, each weighted 1/n."""
     at = np.flatnonzero(np.isin(S.atoms, list(keep)))
-    return ScenarioSet.from_arrays(S.xi[at], S.C[at], np.full(at.size, 1.0 / at.size), S.atoms[at])
+    return ScenarioSet(S.xi[at], S.C[at], np.full(at.size, 1.0 / at.size), S.atoms[at])
 
 
 def spied(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from scsopt import simplex
 from scsopt.simplex import solve_lp
 
 
@@ -117,3 +118,19 @@ def test_warm_basis_for_another_cost_gives_the_cold_optimum():
         assert warm.obj == pytest.approx(cold.obj, abs=1e-9 * (1 + abs(cold.obj)))
         assert (c2 - A.T @ warm.pi).min() >= -1e-7
     assert refused >= 5
+
+
+@pytest.mark.parametrize("basis", [[2, 2], [0, 1]], ids=["repeated-index", "singular"])
+def test_unusable_warm_basis_gives_the_cold_optimum(monkeypatch, basis):
+    # Columns 0 and 1 are parallel, so the basis {0, 1} is singular.
+    c = np.array([1.0, 3.0, 0.5, 2.0])
+    A = np.array([[1.0, 1.0, 1.0, 0.0], [2.0, 2.0, 0.0, 1.0]])
+    b = np.array([1.0, 3.0])
+    cold = solve_lp(c, A, b)
+    warm_solve, tried = simplex._warm_solve, []
+    monkeypatch.setattr(simplex, "_warm_solve", lambda *args: tried.append(warm_solve(*args)))
+    got = solve_lp(c, A, b, basis=np.array(basis))
+    assert tried == [None]
+    assert got.status == cold.status == "optimal"
+    np.testing.assert_array_equal(got.x, cold.x)
+    assert got.obj == cold.obj
