@@ -188,8 +188,8 @@ class ScenarioSet:
     ``xi`` is N x m2, ``C`` is N x m2 x n1 and ``weights`` has N positive
     entries; other shapes raise DimensionMismatch.  ``atoms`` is None or,
     for rows of a finite support, each row's index in ``enumerate_support``'s
-    order; rows that share an index are equal.  Indexing or iterating yields
-    ``Scenario`` views of single rows.
+    order, one entry per row; rows that share an index are equal.  Indexing
+    or iterating yields ``Scenario`` views of single rows.
     """
 
     def __init__(self, xi, C, weights, atoms=None):
@@ -198,6 +198,9 @@ class ScenarioSet:
         if xi.ndim != 2 or C.ndim != 3 or C.shape[:2] != xi.shape or weights.shape != xi.shape[:1]:
             raise DimensionMismatch(f"scenario arrays of shapes {xi.shape}, {C.shape} and "
                                     f"{weights.shape} are not N x m2, N x m2 x n1 and N")
+        atoms = None if atoms is None else np.asarray(atoms)
+        if atoms is not None and atoms.shape != weights.shape:
+            raise DimensionMismatch(f"atoms of shape {atoms.shape} is not one entry per row")
         if not weights.min(initial=np.inf) > 0.0:  # a NaN weight fails it too
             raise ValueError("scenario weight must be positive")
         total = float(weights.sum())

@@ -28,6 +28,7 @@ from .rng import substream
 _CACHE_LIMIT = 128
 _ROW_TABLE_LIMIT = 32  # points; a line search ends by its 25th trial, so its start is still held
 _PILOT_SIZE = 32
+_FIRST_CAPACITY = 8  # cells a table holds before its first doubling
 
 
 @dataclass
@@ -106,10 +107,11 @@ class SaaFunction:
       free set); a scenario with y and bound multipliers nonnegative is
       optimal.  A singular or ill-conditioned KKT matrix is never stacked.
 
-    A screen pass is one product of the stacked maps with the missing r,
-    cells x map rows x scenarios with the scenarios along the contiguous
-    axis, so each check is a reduction down the short middle axis; the first
-    cell in discovery order that solves a scenario settles it.  A scenario
+    Each field of the table is one array, cells outermost, that doubles when
+    full.  A screen pass is one product of the stacked maps with the missing
+    r; a QP pass lays its results out map rows x cells x scenarios, so each
+    check reduces over contiguous blocks.  The first cell in discovery order
+    that solves a scenario settles it.  A scenario
     outside every cell reaches ``solve_recourse``, warm-started from the last
     basis a solve returned (the phase-1 basis of a QP), and its cell joins
     the table before the rest are screened again.  The sums below run over
@@ -126,6 +128,8 @@ class SaaFunction:
     """
 
     def __init__(self, problem, scenarios):
+        if scenarios.C.shape[1:] != (problem.m2, problem.n1):  # then xi is N x m2 too
+            raise DimensionMismatch(f"scenario C is {scenarios.C.shape}, not N x {problem.m2} x {problem.n1}")
         self.problem = problem
         self._n = len(scenarios)
         self.scenarios, self._first = scenarios, range(self._n)  # row i first appears at draw _first[i]
@@ -147,7 +151,7 @@ class SaaFunction:
                                              scenarios.atoms[rows])
         self._cache = OrderedDict()
         self._basis_hint = None  # the last basis a scalar solve returned
-        self._cells = {"tried": {}, "cells": [], "stack": (), "rows": {}}  # shared by siblings
+        self._cells = {"tried": {}, "n": 0, "fields": None, "stack": (), "rows": {}}  # shared by siblings
         self._shared_C = bool((self.scenarios.C == self.scenarios.C[0]).all())
         self._terms = None  # (1 + rows) x n1 buffer of the subgradient's summands
 
@@ -177,8 +181,15 @@ class SaaFunction:
             cell = self._qp_cell(free) if self.problem.quadratic_recourse else self._lp_cell(free)
             table["tried"][key] = cell is not None
             if cell is not None:
-                table["cells"].append(cell)
-                table["stack"] = [np.stack(field) for field in zip(*table["cells"])]
+                n, fields = table["n"], table["fields"]
+                if fields is None:
+                    fields = [np.empty((_FIRST_CAPACITY,) + part.shape, dtype=part.dtype) for part in cell]
+                elif n == len(fields[0]):  # full: double it, the new slots holding copies to overwrite
+                    fields = [np.concatenate([field, field]) for field in fields]
+                for field, part in zip(fields, cell):
+                    field[n] = part
+                table["fields"], table["n"] = fields, n + 1
+                table["stack"] = [field[:n + 1] for field in fields]  # views of the cells stacked
 
     def _lp_cell(self, basis):
         """(B_inv, pi, d_B) of a dual-feasible basis of (d, D)."""
@@ -215,28 +226,36 @@ class SaaFunction:
     def _screen(self, R, start):
         """(hit, h, pi) of the columns of R that the stacked cells from ``start`` on solve.
 
-        Z[k, :, j] is cell start + k's map at column j, checked within
-        ``qpsolve._finish``'s tolerances for a QP cell.
+        QP checks are within ``qpsolve._finish``'s tolerances.  The product
+        with R takes the maps as one matrix of (cell, map row) rows, and
+        ``P y`` and ``D'pi`` stay one product per cell: a product's rounding
+        can depend on its shape.
         """
-        stack = self._cells["stack"]
+        p, stack = self.problem, self._cells["stack"]
         G, *fields = (field[start:] for field in stack) if start else stack
         Z = (G.reshape(-1, G.shape[2]) @ R).reshape(G.shape[0], G.shape[1], R.shape[1])
-        if self.problem.quadratic_recourse:
+        if p.quadratic_recourse:
             a, work = fields
-            Z += a[:, :, None]
-            y, pi = Z[:, :work.shape[1]], Z[:, work.shape[1]:]
-            grad = self.problem.P @ y + self.problem.d[:, None]
-            mu = np.where(work[:, :, None], grad - self.problem.D.T @ pi, 0.0)
-            ok = ((y.min(axis=1) >= -1e-9 * (1.0 + np.abs(y).max(axis=1)))
-                  & (mu.min(axis=1) >= -1e-8 * (1.0 + np.abs(grad).max(axis=1))))
+            (cells, rows, width), n2 = Z.shape, work.shape[1]
+            V = np.empty((rows + 2 * n2, cells, width))
+            np.add(Z.transpose(1, 0, 2), a.T[:, :, None], out=V[:rows])
+            y, pi, grad, mu = V[:n2], V[n2:rows], V[rows:rows + n2], V[rows + n2:]
+            np.matmul(p.P, y.transpose(1, 0, 2), out=grad.transpose(1, 0, 2))
+            grad += p.d[:, None, None]
+            np.matmul(p.D.T, pi.transpose(1, 0, 2), out=mu.transpose(1, 0, 2))
+            np.subtract(grad, mu, out=mu)
+            ok = y.min(axis=0) >= -1e-9 * (1.0 + np.abs(y).max(axis=0))
+            ok &= (np.where(work.T[:, :, None], mu, 0.0).min(axis=0)
+                   >= -1e-8 * (1.0 + np.abs(grad).max(axis=0)))
         else:
             ok = Z.min(axis=1) >= -1e-9 * (1.0 + np.abs(R).max(axis=0))
         hit = ok.any(axis=0)
         cols = hit.nonzero()[0]
         k = ok.argmax(axis=0)[cols]
-        if self.problem.quadratic_recourse:
-            h = 0.5 * np.einsum("ij,ij->i", y[k, :, cols], grad[k, :, cols] + self.problem.d)
-            return hit, h, pi[k, :, cols]
+        if p.quadratic_recourse:
+            found = V.transpose(1, 0, 2)[k, :, cols]  # [y | pi | P y + d | mu] per column
+            h = 0.5 * np.einsum("ij,ij->i", found[:, :n2], found[:, rows:rows + n2] + p.d)
+            return hit, h, found[:, n2:rows]
         pi, d_B = fields
         return hit, np.einsum("ij,ij->i", Z[k, :, cols], d_B[k]), pi[k]
 
@@ -285,13 +304,13 @@ class SaaFunction:
         last pass.  An oracle with an atom index enters the rows in the
         family's table at ``key``.
         """
-        S, cells = self.scenarios, self._cells["cells"]
+        S, cells = self.scenarios, self._cells
         rows, missing = np.empty((len(S), 1 + self.problem.n1)), np.arange(len(S))
         R = (np.subtract(S.xi.T, (S.C[0] @ x)[:, None], order="C") if self._shared_C
              else np.ascontiguousarray((S.xi - S.C @ x).T))
         screened = 0
         while missing.size:
-            if len(cells) > screened:
+            if cells["n"] > screened:
                 hit, h, pi = self._screen(R, screened)
                 settled = hit.all()
                 idx = slice(None) if settled and missing.size == len(S) else missing[hit]
@@ -300,7 +319,7 @@ class SaaFunction:
                 if settled:
                     break
                 missing, R = missing[~hit], R[:, ~hit]
-            screened = len(cells)
+            screened = cells["n"]
             i = int(missing[0])
             s = S[i]
             sol = require_optimal(solve_recourse(self.problem, s, x, basis=self._basis_hint),

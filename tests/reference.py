@@ -4,8 +4,9 @@ Each function here is the code as it was before the rewrite, kept so that
 the tests can require the rewrite to give the same bytes: the projection's
 face loop (every try rebuilding F, A_F and b - A_W lb_W, and checking
 full-length multipliers), ``qpsolve.kkt_holds`` with its float and np.all
-wrappers, and ``model.draw_scenarios`` with its per-draw support checks and
-np.repeat placement.
+wrappers, ``model.draw_scenarios`` with its per-draw support checks and
+np.repeat placement, and the oracle's cell table as it was before its fields
+grew in place (``RestackingTable``).
 """
 
 import numpy as np
@@ -94,3 +95,43 @@ def draw_scenarios(problem, rng, n):
         else:
             C[:, entry.row, entry.col] = values[:, j]
     return ScenarioSet(xi, C, np.full(n, 1.0 / n), atoms)
+
+
+class RestackingTable:
+    """The oracle's cell table before its fields grew in place.
+
+    Each pooled cell, a tuple of arrays, is kept in a list, and every pool
+    re-stacks each field cell-major with ``np.stack``; a screen reduces its
+    checks down the middle (map row) axis of cells x map rows x columns.
+    """
+
+    def __init__(self):
+        self.cells, self.stack = [], ()
+
+    def pool(self, cell):
+        if cell is not None:
+            self.cells.append(cell)
+            self.stack = [np.stack(field) for field in zip(*self.cells)]
+
+    def screen(self, problem, R, start):
+        G, *fields = (field[start:] for field in self.stack) if start else self.stack
+        Z = (G.reshape(-1, G.shape[2]) @ R).reshape(G.shape[0], G.shape[1], R.shape[1])
+        if problem.quadratic_recourse:
+            a, work = fields
+            Z += a[:, :, None]
+            y, pi = Z[:, :work.shape[1]], Z[:, work.shape[1]:]
+            grad = problem.P @ y + problem.d[:, None]
+            mu = np.where(work[:, :, None], grad - problem.D.T @ pi, 0.0)
+            ok = ((y.min(axis=1) >= -1e-9 * (1.0 + np.abs(y).max(axis=1)))
+                  & (mu.min(axis=1) >= -1e-8 * (1.0 + np.abs(grad).max(axis=1))))
+        else:
+            ok = Z.min(axis=1) >= -1e-9 * (1.0 + np.abs(R).max(axis=0))
+        self.ok = ok  # cells x columns: which cells solve which columns
+        hit = ok.any(axis=0)
+        cols = hit.nonzero()[0]
+        k = ok.argmax(axis=0)[cols]
+        if problem.quadratic_recourse:
+            h = 0.5 * np.einsum("ij,ij->i", y[k, :, cols], grad[k, :, cols] + problem.d)
+            return hit, h, pi[k, :, cols]
+        pi, d_B = fields
+        return hit, np.einsum("ij,ij->i", Z[k, :, cols], d_B[k]), pi[k]

@@ -72,15 +72,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             ScenarioSet(np.zeros((2, 1)), np.zeros((2, 1, 1)), weights)
 
-    @pytest.mark.parametrize("xi, C, weights", [
-        pytest.param(np.zeros(2), np.zeros((1, 2, 2)), [1.0], id="xi-not-N-by-m2"),
-        pytest.param(np.zeros((1, 2)), np.zeros((1, 2)), [1.0], id="C-not-3d"),
-        pytest.param(np.zeros((1, 2)), np.zeros((1, 3, 2)), [1.0], id="C-rows-differ"),
-        pytest.param(np.zeros((2, 2)), np.zeros((2, 2, 2)), [1.0], id="weights-not-N"),
+    @pytest.mark.parametrize("xi, C, weights, atoms", [
+        pytest.param(np.zeros(2), np.zeros((1, 2, 2)), [1.0], None, id="xi-not-N-by-m2"),
+        pytest.param(np.zeros((1, 2)), np.zeros((1, 2)), [1.0], None, id="C-not-3d"),
+        pytest.param(np.zeros((1, 2)), np.zeros((1, 3, 2)), [1.0], None, id="C-rows-differ"),
+        pytest.param(np.zeros((2, 2)), np.zeros((2, 2, 2)), [1.0], None, id="weights-not-N"),
+        pytest.param(np.zeros((2, 1)), np.zeros((2, 1, 1)), [0.5, 0.5], np.array([0]),
+                     id="atoms-not-N"),
+        pytest.param(np.zeros((2, 1)), np.zeros((2, 1, 1)), [0.5, 0.5], np.zeros((2, 1), dtype=int),
+                     id="atoms-not-1d"),
     ])
-    def test_scenario_set_checks_its_shapes(self, xi, C, weights):
+    def test_scenario_set_checks_its_shapes(self, xi, C, weights, atoms):
         with pytest.raises(DimensionMismatch):
-            ScenarioSet(xi, C, weights)
+            ScenarioSet(xi, C, weights, atoms)
 
 
 class TestSampling:

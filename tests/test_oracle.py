@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_form import closed_form_dual_value, closed_form_multiplier
-from instances import scenario_subgrad
+from instances import make_two_stage, scenario_subgrad
+from reference import RestackingTable
+from scsopt import oracle
 from scsopt.exceptions import DimensionMismatch, RecourseInfeasible
 from scsopt.model import (
     Discrete,
@@ -343,7 +347,7 @@ class TestSaaDifferential:
             np.testing.assert_allclose(F.subgrad(x), want_g, rtol=1e-10, atol=1e-12)
         # The empty free set is remembered but not stacked; others are.
         assert F._cells["tried"][()] is False
-        assert F._cells["cells"] and len(F._cells["stack"][0]) == len(F._cells["cells"])
+        assert F._cells["n"] == sum(F._cells["tried"].values()) > 0
 
     @pytest.mark.parametrize("first_xi, want_v", [(1.0, -1.0), (-1.0, 1.0)])
     def test_first_cell_in_discovery_order_settles(self, monkeypatch, first_xi, want_v):
@@ -354,7 +358,7 @@ class TestSaaDifferential:
         x = np.zeros(1)
         F = SaaFunction(p, ScenarioSet([[first_xi], [-first_xi]], [[[1.0]], [[1.0]]], [0.5, 0.5]))
         F.value(x)
-        assert [pi.tolist() for _, pi, _ in F._cells["cells"]] == [[first_xi], [-first_xi]]
+        assert F._cells["stack"][1].tolist() == [[first_xi], [-first_xi]]
         monkeypatch.setattr("scsopt.oracle.solve_recourse", None)  # the screen must settle it
         T = F.sibling(ScenarioSet([[0.0]], [[[1.0]]], [1.0]))
         assert T.value(x) == 0.0
@@ -398,13 +402,13 @@ class TestSaaDifferential:
             F = SaaFunction(p, draw_scenarios(p, substream(seed, "grow", 0), 30))
             T = F.sibling(draw_scenarios(p, substream(seed, "test_set", 0), 6))
             idle = 0
-            while len(F._cells["cells"]) < 15 and idle < 30:
-                cells = len(F._cells["cells"])
+            while F._cells["n"] < 15 and idle < 30:
+                cells = F._cells["n"]
                 check(F, 3.0 * rng.normal(size=p.n1))
-                idle = 0 if len(F._cells["cells"]) > cells else idle + 1
-            if len(F._cells["cells"]) >= 15:
+                idle = 0 if F._cells["n"] > cells else idle + 1
+            if F._cells["n"] >= 15:
                 break
-        assert len(F._cells["cells"]) >= 15
+        assert F._cells["n"] >= 15
         x0 = rng.normal(size=p.n1)
         for x in (x0, x0 + 1e-3 * rng.normal(size=p.n1), 3.0 * rng.normal(size=p.n1)):
             check(T, x)
@@ -422,6 +426,57 @@ class TestSaaDifferential:
             g = g + scen.weights[i] * rows[i][1:]
         assert F.value(x) == p.first_stage_cost(x) + float(scen.weights @ h)
         assert F.subgrad(x).tobytes() == g.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000), quadratic=st.booleans(), tech=st.booleans(),
+       size=st.sampled_from([(2, 3), (3, 4), (4, 8), (16, 2)]))
+def test_table_grown_in_place_screens_as_the_restacking_reference(seed, quadratic, tech, size):
+    """Every screen of the table that grows in place gives the bytes (hit, h, pi) of
+    the re-stacking reference over the cells pooled so far, and the table's views of
+    those cells are their ``np.stack``, in a table that starts with room for one
+    cell and so doubles at its second, third and fifth.
+    Sizes (4, 8) and (16, 2) make products of 16 or more terms, whose rounding
+    depends on the product's shape.  Rows with r = 0 or a multiple of a unit vector
+    at x = 0 are solved by several LP cells: the first pooled must settle them."""
+    m2, n_base = size
+    p = make_two_stage(seed, n1=3, m1=1, m2=m2, n_base=n_base, quadratic=quadratic,
+                       rhs_random=2, tech_random=int(tech), support_k=(3,))
+    drawn = draw_scenarios(p, substream(seed, "sample"), 30)
+    unit = np.eye(m2)
+    xi = np.concatenate([drawn.xi, [np.zeros(m2), 0.5 * unit[0], -0.5 * unit[-1]]])
+    C = np.concatenate([drawn.C, np.repeat(p.C[None], 3, axis=0)])
+    S = ScenarioSet(xi, C, np.full(len(xi), 1.0 / len(xi)))
+    reference, screens, shared = RestackingTable(), [0], [0]
+    make_cell = "_qp_cell" if quadratic else "_lp_cell"
+    real_cell, real_screen = getattr(SaaFunction, make_cell), SaaFunction._screen
+
+    def pooled(self, free):
+        cell = real_cell(self, free)
+        reference.pool(cell)
+        return cell
+
+    def checked(self, R, start):
+        got = real_screen(self, R, start)
+        want = reference.screen(self.problem, R, start)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for view, stacked in zip(self._cells["stack"], reference.stack):
+            assert view.shape == stacked.shape and view.tobytes() == stacked.tobytes()
+        screens[0] += 1
+        shared[0] += int((reference.ok.sum(axis=0) >= 2).sum())
+        return got
+
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(oracle, "_FIRST_CAPACITY", 1), \
+            mock.patch.object(SaaFunction, make_cell, pooled), \
+            mock.patch.object(SaaFunction, "_screen", checked):
+        F = SaaFunction(p, S)
+        for _ in range(20):
+            F.value_and_subgrad(3.0 * rng.normal(size=p.n1))
+        F.sibling(S).value_and_subgrad(np.zeros(p.n1))
+    assert F._cells["n"] >= 3  # two doublings
+    assert screens[0] > 0 and (quadratic or shared[0] > 0)
 
 
 def discrete_problem(seed, tech, quadratic):
@@ -632,6 +687,15 @@ def test_memoized_results_are_returned_as_copies_and_need_no_fill(quadratic, mon
     rows = F._solutions(x)
     assert rows.shape == (len(F.scenarios), 1 + p.n1)
     assert np.dot(F.scenarios.weights, rows[:, 0]) + p.first_stage_cost(x) == pytest.approx(f, rel=1e-14)
+
+
+@pytest.mark.parametrize("m2, n1", [(2, 1), (1, 2), (2, 2)])
+def test_scenario_shapes_are_checked_against_the_problem(m2, n1):
+    # The problem has m2 = n1 = 1: a set with m2 columns of xi and m2 x n1 C
+    # matrices is refused when the oracle is built, not in its first solve.
+    S = ScenarioSet(np.ones((2, m2)), np.ones((2, m2, n1)), [0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match="not N x 1 x 1"):
+        SaaFunction(lp_problem(), S)
 
 
 def test_points_are_checked_for_length_and_finiteness():
