@@ -317,26 +317,18 @@ def _make_parser():
     parser = argparse.ArgumentParser(
         prog="scsopt",
         description="Benchmark harness for two-stage stochastic program solvers.")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--instance", required=True)
+    run.add_argument("--format", default="auto", choices=["auto", "smps", "native"])
+    run.add_argument("--config", default=None, help="key = value parameter file")
+    run.add_argument("--out", default="runs")
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--replications", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="run one solver, write per-iteration CSVs")
-    p_solve.add_argument("--instance", required=True)
-    p_solve.add_argument("--format", default="auto", choices=["auto", "smps", "native"])
+    p_solve = sub.add_parser("solve", parents=[run], help="run one solver, write per-iteration CSVs")
     p_solve.add_argument("--solver", required=True, choices=list(_SOLVERS))
-    p_solve.add_argument("--config", default=None, help="key = value parameter file")
-    p_solve.add_argument("--out", default="runs")
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--replications", type=int, default=1)
-
-    p_cmp = sub.add_parser("compare", help="run several solvers on one instance and seed")
-    p_cmp.add_argument("--instance", required=True)
-    p_cmp.add_argument("--format", default="auto", choices=["auto", "smps", "native"])
-    p_cmp.add_argument("--solvers", required=True,
-                       help="comma-separated subset of scs,sgd,smd,extensive")
-    p_cmp.add_argument("--config", default=None)
-    p_cmp.add_argument("--out", default="runs")
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--replications", type=int, default=1)
+    p_cmp = sub.add_parser("compare", parents=[run], help="run several solvers on one instance and seed")
+    p_cmp.add_argument("--solvers", required=True, help="comma-separated subset of scs,sgd,smd,extensive")
     return parser
 
 

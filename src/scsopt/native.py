@@ -65,17 +65,10 @@ class _Stream:
         self._line = line_no
         return tok
 
-    def next_float(self, what="number"):
+    def next_number(self, what, kind=float):
         tok = self.next(what)
         try:
-            return float(tok)
-        except ValueError:
-            raise MalformedSection(f"expected {what}, got {tok!r}", self._line)
-
-    def next_int(self, what="integer"):
-        tok = self.next(what)
-        try:
-            return int(tok)
+            return kind(tok)
         except ValueError:
             raise MalformedSection(f"expected {what}, got {tok!r}", self._line)
 
@@ -95,12 +88,12 @@ def parse_native(text):
         if key in blocks:
             raise MalformedSection(f"matrix {key} given twice")
         if key in _VECTORS:
-            n = ts.next_int(f"length of {key}")
-            blocks[key] = np.array([ts.next_float(f"{key} entry") for _ in range(n)])
+            n = ts.next_number(f"length of {key}", int)
+            blocks[key] = np.array([ts.next_number(f"{key} entry") for _ in range(n)])
         else:
-            r = ts.next_int(f"row count of {key}")
-            c = ts.next_int(f"column count of {key}")
-            vals = [ts.next_float(f"{key} entry") for _ in range(r * c)]
+            r = ts.next_number(f"row count of {key}", int)
+            c = ts.next_number(f"column count of {key}", int)
+            vals = [ts.next_number(f"{key} entry") for _ in range(r * c)]
             blocks[key] = np.array(vals).reshape(r, c)
     missing = [k for k in ("Q", "c", "A", "b", "D", "d", "xi", "C") if k not in blocks]
     if missing:
@@ -118,18 +111,18 @@ def parse_native(text):
                     ts.next()
                     lower = None
                 else:
-                    lower = np.array([ts.next_float("lower bound") for _ in range(n1)])
+                    lower = np.array([ts.next_number("lower bound") for _ in range(n1)])
             else:
-                recourse_lo = ts.next_float("recourse lower bound")
-                recourse_hi = ts.next_float("recourse upper bound")
+                recourse_lo = ts.next_number("recourse lower bound")
+                recourse_hi = ts.next_number("recourse upper bound")
 
     entries = []
     if ts.peek() == "STOCH":
         ts.next()
         while ts.peek() in ("rhs", "tech"):
             kind = ts.next()
-            row = ts.next_int("row index")
-            col = ts.next_int("column index") if kind == "tech" else -1
+            row = ts.next_number("row index", int)
+            col = ts.next_number("column index", int) if kind == "tech" else -1
             dist_kind = ts.next("distribution kind")
             if dist_kind == "discrete":
                 values, probs = [], []
@@ -146,9 +139,9 @@ def parse_native(text):
                 except ValueError as exc:
                     raise MalformedSection(str(exc), ts._line)
             elif dist_kind == "uniform":
-                dist = Uniform(ts.next_float("uniform lo"), ts.next_float("uniform hi"))
+                dist = Uniform(ts.next_number("uniform lo"), ts.next_number("uniform hi"))
             elif dist_kind == "normal":
-                dist = Normal(ts.next_float("normal mu"), ts.next_float("normal sigma"))
+                dist = Normal(ts.next_number("normal mu"), ts.next_number("normal sigma"))
             else:
                 raise MalformedSection(f"unknown distribution kind {dist_kind!r}", ts._line)
             entries.append(RandomEntry(kind=kind, row=row, col=col, dist=dist))

@@ -278,20 +278,12 @@ def _cold_solve(c, A, b, max_iter):
             bs.pivot(j, pos)
         else:
             keep_rows[pos] = False
-    basis = bs.basis
-    if not keep_rows.all():
-        rows = np.flatnonzero(keep_rows)
-        pos_keep = np.array([p for p in range(m) if keep_rows[p]], dtype=int)
-        A1 = A1[rows]
-        b1 = b1[rows]
-        basis = basis[pos_keep]
-        if np.any(basis >= n):
-            raise NumericalBreakdown("artificial variable survived row elimination")
-        m = rows.size
+    basis = bs.basis[keep_rows]
     if np.any(basis >= n):
         raise NumericalBreakdown("artificial variable stuck in basis")
 
-    A_red = A1[:, :n]
+    A_red = A1[keep_rows, :n]
+    b1 = b1[keep_rows]
     bs = _Basis(A_red, basis)
     status, it2 = _primal_loop(c, A_red, b1, bs, max_iter)
     if status == UNBOUNDED:
@@ -300,10 +292,7 @@ def _cold_solve(c, A, b, max_iter):
     pi_red = bs.duals(c)
     x = np.zeros(n)
     x[bs.basis] = xB
-    if keep_rows.all():
-        pi = pi_red * flip
-    else:
-        pi = np.zeros(b.size)
-        pi[np.flatnonzero(keep_rows)] = pi_red
-        pi = pi * flip
+    pi = np.zeros(m)
+    pi[keep_rows] = pi_red
+    pi *= flip
     return LpResult(OPTIMAL, x, float(c @ x), pi, bs.basis.copy(), it1 + it2)

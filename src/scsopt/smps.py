@@ -9,9 +9,10 @@ no embedded blanks.  Unknown sections warn and are skipped; unsupported
 stochastic structures are hard errors.
 
 ``assemble`` turns the triple into a TwoStageProblem in the equality form
-the solvers expect: inequality rows gain zero-cost slack columns (stage by
-stage), upper/fixed variable bounds become extra rows, and lower bounds are
-kept as bound vectors.
+the solvers expect, by one rule for both stages: an L row gains a +1 and a
+G row a -1 zero-cost slack column, a finite upper bound becomes an extra
+row with a +1 slack (none when the column is fixed, lo = up), and lower
+bounds are kept as bound vectors.
 """
 
 import warnings
@@ -31,6 +32,8 @@ from .exceptions import (
     UnsupportedStructure,
 )
 from .model import Discrete, RandomEntry, ScenarioSampler, TwoStageProblem
+
+_SLACK_SIGN = {"E": 0.0, "L": 1.0, "G": -1.0}   # row sense -> slack coefficient (0: none)
 
 
 @dataclass
@@ -55,11 +58,6 @@ class PeriodSplit:
     stage2_rows: list
 
 
-@dataclass
-class StochModel:
-    marginals: list = field(default_factory=list)      # (col, row, Discrete)
-
-
 def _data_lines(text):
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("*"):
@@ -79,14 +77,23 @@ def _number(token, what, line_no):
         raise MalformedSection(f"bad {what} {token!r}", line_no)
 
 
+def _record(core, section, toks, line_no):
+    """The (row, value) groups of a ``name row value [row value]`` COLUMNS or RHS line."""
+    if len(toks) not in (3, 5):
+        raise MalformedSection(f"{section} entry needs name/row/value groups, got {toks}", line_no)
+    groups = []
+    for row, val in zip(toks[1::2], toks[2::2]):
+        if row != core.obj_row and row not in core.row_sense:
+            raise UnknownRow(f"{section} entry {toks[0]!r} references unknown row {row!r}")
+        groups.append((row, _number(val, f"{section} value", line_no)))
+    return groups
+
+
 def parse_core(text):
     """Parse an MPS core document into a name-indexed coefficient model."""
     core = CoreModel()
     section = None
-    saw = set()
     col_set = set()
-    row_set = set()
-    counts = {"ROWS": 0, "COLUMNS": 0, "RHS": 0}
     for line_no, is_header, toks in _data_lines(text):
         if is_header:
             head = toks[0].upper()
@@ -97,7 +104,6 @@ def parse_core(text):
                 break
             elif head in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "QUADOBJ"):
                 section = head
-                saw.add(head)
             elif head == "RANGES":
                 warnings.warn("RANGES section is not supported and will be ignored")
                 section = "SKIP"
@@ -111,7 +117,7 @@ def parse_core(text):
             if len(toks) != 2:
                 raise MalformedSection(f"ROWS entry needs sense and name, got {toks}", line_no)
             sense, name = toks[0].upper(), toks[1]
-            if name in row_set or name == core.obj_row:
+            if name in core.row_sense or name == core.obj_row:
                 raise DuplicateName(f"row {name!r} declared twice")
             if sense == "N":
                 if not core.obj_row:
@@ -119,39 +125,23 @@ def parse_core(text):
                 else:
                     warnings.warn(f"extra free row {name!r} ignored")
                 continue
-            if sense not in ("E", "L", "G"):
+            if sense not in _SLACK_SIGN:
                 raise MalformedSection(f"unknown row sense {sense!r}", line_no)
             core.row_names.append(name)
             core.row_sense[name] = sense
-            row_set.add(name)
-            counts["ROWS"] += 1
         elif section == "COLUMNS":
-            if len(toks) not in (3, 5):
-                raise MalformedSection(f"COLUMNS entry needs col/row/value groups, got {toks}", line_no)
             col = toks[0]
+            groups = _record(core, section, toks, line_no)
             if col not in col_set:
                 col_set.add(col)
                 core.col_names.append(col)
-            for i in range(1, len(toks), 2):
-                row, val = toks[i], toks[i + 1]
-                if row != core.obj_row and row not in row_set:
-                    raise UnknownRow(f"column {col!r} references unknown row {row!r}")
-                key = (row, col)
-                if key in core.entries:
+            for row, val in groups:
+                if (row, col) in core.entries:
                     raise DuplicateName(f"coefficient for ({row}, {col}) given twice")
-                core.entries[key] = _number(val, "coefficient", line_no)
-                counts["COLUMNS"] += 1
+                core.entries[row, col] = val
         elif section == "RHS":
-            if len(toks) not in (3, 5):
-                raise MalformedSection(f"RHS entry needs name/row/value groups, got {toks}", line_no)
-            if not core.rhs_name:
-                core.rhs_name = toks[0]
-            for i in range(1, len(toks), 2):
-                row, val = toks[i], toks[i + 1]
-                if row != core.obj_row and row not in row_set:
-                    raise UnknownRow(f"RHS references unknown row {row!r}")
-                core.rhs[row] = _number(val, "RHS value", line_no)
-                counts["RHS"] += 1
+            core.rhs.update(_record(core, section, toks, line_no))
+            core.rhs_name = core.rhs_name or toks[0]
         elif section == "BOUNDS":
             if len(toks) < 3:
                 raise MalformedSection(f"BOUNDS entry too short: {toks}", line_no)
@@ -184,9 +174,9 @@ def parse_core(text):
             if c1 not in col_set or c2 not in col_set:
                 raise UnknownName(f"QUADOBJ references unknown column in {toks}")
             core.quad[(c1, c2)] = _number(toks[2], "QUADOBJ value", line_no)
-    if "ROWS" not in saw or counts["ROWS"] == 0 or not core.obj_row:
+    if not core.row_names or not core.obj_row:
         raise MalformedSection("CORE file needs a ROWS section with an objective row")
-    if "COLUMNS" not in saw or counts["COLUMNS"] == 0:
+    if not core.entries:
         raise MalformedSection("CORE file has an empty or missing COLUMNS section")
     # RHS may be absent entirely: all-zero right-hand side by MPS convention.
     return core
@@ -237,11 +227,12 @@ def parse_time(text, core):
     return split
 
 
-def parse_stoch(text, core, split):
-    """Parse INDEP DISCRETE marginals; any other stochastic structure is an error."""
-    stoch = StochModel()
+def parse_stoch(text, core):
+    """INDEP DISCRETE marginals as (column or "RHS", row, Discrete), in order of first entry.
+
+    Any other stochastic structure is an error.
+    """
     acc = {}
-    order = []
     in_indep = False
     for line_no, is_header, toks in _data_lines(text):
         if is_header:
@@ -268,136 +259,91 @@ def parse_stoch(text, core, split):
             col, row, val, _period, prob = toks
         else:
             raise MalformedSection(f"INDEP entry needs col/row/value[/period]/prob, got {toks}", line_no)
+        if row == core.obj_row:
+            raise UnsupportedStructure("random objective coefficients are not supported")
         if row not in core.row_names:
             raise UnknownName(f"STOCH entry references unknown row {row!r}")
         is_rhs = col.upper() == "RHS" or (core.rhs_name and col == core.rhs_name)
         if not is_rhs and col not in core.col_names:
             raise UnknownName(f"STOCH entry references unknown column {col!r}")
-        key = ("RHS" if is_rhs else col, row)
-        if key not in acc:
-            acc[key] = ([], [])
-            order.append(key)
+        values, probs = acc.setdefault(("RHS" if is_rhs else col, row), ([], []))
         try:
-            acc[key][0].append(float(val))
-            acc[key][1].append(float(prob))
+            values.append(float(val))
+            probs.append(float(prob))
         except ValueError:
             raise MalformedSection(f"bad numeric field in {toks}", line_no)
-    for key in order:
-        values, probs = acc[key]
+    marginals = []
+    for key, (values, probs) in acc.items():
         total = sum(probs)
         if abs(total - 1.0) > 1e-9:
             raise ProbabilityNotSummingToOne(
                 f"marginal at {key} has probabilities summing to {total!r}")
-        stoch.marginals.append((key[0], key[1], Discrete(tuple(values), tuple(probs))))
-    return stoch
+        marginals.append((*key, Discrete(tuple(values), tuple(probs))))
+    return marginals
 
 
-def assemble(core, split, stoch, seed=0):
+def _coefficients(core, row, cols):
+    return [core.entries.get((row, col), 0.0) for col in cols]
+
+
+def _stage(core, rows, cols):
+    """(matrix, right-hand side, costs, lower bounds) of one stage in equality form.
+
+    Rows are the stage's own, then one per finite upper bound, in column
+    order.  Slack columns follow the stage's own columns: first the row
+    slacks, in row order, then the bound slacks.
+    """
+    bounds = [core.bounds.get(col, (0.0, np.inf)) for col in cols]
+    capped = [(j, lo, up) for j, (lo, up) in enumerate(bounds) if np.isfinite(up)]
+    signs = [_SLACK_SIGN[core.row_sense[row]] for row in rows]
+    signs += [float(lo != up) for _, lo, up in capped]
+    slacks = [(i, sign) for i, sign in enumerate(signs) if sign]
+    n = len(cols)
+    M = np.zeros((len(signs), n + len(slacks)))
+    rhs = np.zeros(len(signs))
+    for i, row in enumerate(rows):
+        M[i, :n] = _coefficients(core, row, cols)
+        rhs[i] = core.rhs.get(row, 0.0)
+    for i, (j, _lo, up) in enumerate(capped, start=len(rows)):
+        M[i, j] = 1.0
+        rhs[i] = up
+    for k, (i, sign) in enumerate(slacks, start=n):
+        M[i, k] = sign
+    cost = np.zeros(M.shape[1])
+    cost[:n] = _coefficients(core, core.obj_row, cols)
+    lower = np.zeros(M.shape[1])
+    lower[:n] = [lo for lo, _up in bounds]
+    return M, rhs, cost, lower
+
+
+def assemble(core, split, marginals, seed=0):
     """Build (TwoStageProblem, ScenarioSampler) from a parsed triple."""
-    s1_cols, s2_cols = split.stage1_cols, split.stage2_cols
-    r1_rows, r2_rows = split.stage1_rows, split.stage2_rows
-    s1_idx = {c: i for i, c in enumerate(s1_cols)}
-    s2_idx = {c: i for i, c in enumerate(s2_cols)}
-    r2_idx = {r: i for i, r in enumerate(r2_rows)}
-
+    s1_idx = {c: i for i, c in enumerate(split.stage1_cols)}
+    r2_idx = {r: i for i, r in enumerate(split.stage2_rows)}
+    r1_rows, s2_cols = set(split.stage1_rows), set(split.stage2_cols)
     for (row, col) in core.entries:
-        if row in r1_rows and col in s2_idx:
+        if row in r1_rows and col in s2_cols:
             raise UnsupportedStructure(
                 f"first-stage row {row!r} references second-stage column {col!r}")
-
-    # Upper/fixed variable bounds become extra equality rows (with slacks for UP).
-    extra1 = []  # (col name, bound value, needs_slack)
-    extra2 = []
-    lower1 = np.zeros(len(s1_cols))
-    for j, col in enumerate(s1_cols):
-        lo, up = core.bounds.get(col, (0.0, np.inf))
-        lower1[j] = lo
-        if np.isfinite(up):
-            extra1.append((col, up, lo != up))
-    for col in s2_cols:
-        lo, up = core.bounds.get(col, (0.0, np.inf))
-        if lo != 0.0:
+    for col in split.stage2_cols:
+        if core.bounds.get(col, (0.0, np.inf))[0] != 0.0:
             raise UnsupportedStructure(
                 f"second-stage column {col!r} has a nonzero lower bound")
-        if np.isfinite(up):
-            extra2.append((col, up, True))
 
-    ineq1 = [r for r in r1_rows if core.row_sense[r] != "E"]
-    ineq2 = [r for r in r2_rows if core.row_sense[r] != "E"]
-    n_slack1 = len(ineq1) + sum(1 for _, _, s in extra1 if s)
-    n_slack2 = len(ineq2) + sum(1 for _, _, s in extra2 if s)
-    n1 = len(s1_cols) + n_slack1
-    n2 = len(s2_cols) + n_slack2
-    m1 = len(r1_rows) + len(extra1)
-    m2 = len(r2_rows) + len(extra2)
-
-    A = np.zeros((m1, n1))
-    b = np.zeros(m1)
-    D = np.zeros((m2, n2))
-    C = np.zeros((m2, n1))
-    xi = np.zeros(m2)
-    c_vec = np.zeros(n1)
-    d_vec = np.zeros(n2)
-    Q = np.zeros((n1, n1))
-
-    for j, col in enumerate(s1_cols):
-        c_vec[j] = core.entries.get((core.obj_row, col), 0.0)
-    for j, col in enumerate(s2_cols):
-        d_vec[j] = core.entries.get((core.obj_row, col), 0.0)
+    A, b, c_vec, lower = _stage(core, split.stage1_rows, split.stage1_cols)
+    D, xi, d_vec, _ = _stage(core, split.stage2_rows, split.stage2_cols)
+    C = np.zeros((D.shape[0], A.shape[1]))
+    for i, row in enumerate(split.stage2_rows):
+        C[i, :len(split.stage1_cols)] = _coefficients(core, row, split.stage1_cols)
+    Q = np.zeros((A.shape[1], A.shape[1]))
     for (c1, c2), val in core.quad.items():
         if c1 not in s1_idx or c2 not in s1_idx:
             raise UnsupportedStructure("QUADOBJ terms must involve first-stage columns only")
         i, j = s1_idx[c1], s1_idx[c2]
-        Q[i, j] = val
-        Q[j, i] = val
-
-    slack = len(s1_cols)
-    for i, row in enumerate(r1_rows):
-        for j, col in enumerate(s1_cols):
-            v = core.entries.get((row, col))
-            if v is not None:
-                A[i, j] = v
-        b[i] = core.rhs.get(row, 0.0)
-        sense = core.row_sense[row]
-        if sense != "E":
-            A[i, slack] = 1.0 if sense == "L" else -1.0
-            slack += 1
-    for kdx, (col, up, needs_slack) in enumerate(extra1):
-        i = len(r1_rows) + kdx
-        A[i, s1_idx[col]] = 1.0
-        b[i] = up
-        if needs_slack:
-            A[i, slack] = 1.0
-            slack += 1
-
-    slack = len(s2_cols)
-    for i, row in enumerate(r2_rows):
-        for j, col in enumerate(s2_cols):
-            v = core.entries.get((row, col))
-            if v is not None:
-                D[i, j] = v
-        for j, col in enumerate(s1_cols):
-            v = core.entries.get((row, col))
-            if v is not None:
-                C[i, j] = v
-        xi[i] = core.rhs.get(row, 0.0)
-        sense = core.row_sense[row]
-        if sense != "E":
-            D[i, slack] = 1.0 if sense == "L" else -1.0
-            slack += 1
-    for kdx, (col, up, _slacked) in enumerate(extra2):
-        i = len(r2_rows) + kdx
-        D[i, s2_idx[col]] = 1.0
-        xi[i] = up
-        D[i, slack] = 1.0
-        slack += 1
-
-    lower = np.concatenate([lower1, np.zeros(n_slack1)])
+        Q[i, j] = Q[j, i] = val
 
     entries = []
-    for col, row, dist in stoch.marginals:
-        if row == core.obj_row:
-            raise UnsupportedStructure("random objective coefficients are not supported")
+    for col, row, dist in marginals:
         if row not in r2_idx:
             raise UnsupportedStructure(
                 f"randomness on first-stage row {row!r} is not supported")
@@ -405,11 +351,9 @@ def assemble(core, split, stoch, seed=0):
             entries.append(RandomEntry(kind="rhs", row=r2_idx[row], dist=dist))
         elif col in s1_idx:
             entries.append(RandomEntry(kind="tech", row=r2_idx[row], col=s1_idx[col], dist=dist))
-        elif col in s2_idx:
+        else:
             raise UnsupportedStructure(
                 f"randomness on recourse-matrix column {col!r} is not supported")
-        else:
-            raise UnknownName(f"stochastic column {col!r} not found")
 
     if core.rhs.get(core.obj_row, 0.0) != 0.0:
         warnings.warn("objective-row RHS constant ignored")
@@ -454,5 +398,5 @@ def load_smps(path, seed=0):
     with open(time_path) as fh:
         split = parse_time(fh.read(), core)
     with open(stoch_path) as fh:
-        stoch = parse_stoch(fh.read(), core, split)
-    return assemble(core, split, stoch, seed=seed)
+        marginals = parse_stoch(fh.read(), core)
+    return assemble(core, split, marginals, seed=seed)

@@ -1,20 +1,23 @@
-"""Reference copies of code paths that were rewritten for speed alone.
+"""Reference copies of code paths that were rewritten for speed or brevity alone.
 
 Each function here is the code as it was before the rewrite, kept so that
 the tests can require the rewrite to give the same bytes: the projection's
 face loop (every try rebuilding F, A_F and b - A_W lb_W, and checking
 full-length multipliers), ``qpsolve.kkt_holds`` with its float and np.all
 wrappers, ``model.draw_scenarios`` with its per-draw support checks and
-np.repeat placement, and the oracle's cell table as it was before its fields
-grew in place (``RestackingTable``).
+np.repeat placement, the oracle's cell table as it was before its fields
+grew in place (``RestackingTable``), and ``smps.assemble`` with a
+conversion written out for each stage.
 """
+
+import warnings
 
 import numpy as np
 
 from scsopt import linalg, model, qpsolve
 from scsopt.base import as_lower_bounds, as_matrix, as_vector
-from scsopt.exceptions import InfeasibleRegion
-from scsopt.model import Discrete, ScenarioSet, Uniform
+from scsopt.exceptions import InfeasibleRegion, UnknownName, UnsupportedStructure
+from scsopt.model import Discrete, RandomEntry, ScenarioSampler, ScenarioSet, TwoStageProblem, Uniform
 
 
 def kkt_holds(A, b, lb, x, free, grad, stat, mu):
@@ -135,3 +138,136 @@ class RestackingTable:
             return hit, h, pi[k, :, cols]
         pi, d_B = fields
         return hit, np.einsum("ij,ij->i", Z[k, :, cols], d_B[k]), pi[k]
+
+
+def assemble(core, split, marginals, seed=0):
+    """SMPS assembly with a conversion written out for each stage.
+
+    Unlike ``smps.assemble`` it gives a second-stage column with lo = up = 0
+    a bound-row slack too; ``marginals`` is ``smps.parse_stoch``'s list.
+    """
+    s1_cols, s2_cols = split.stage1_cols, split.stage2_cols
+    r1_rows, r2_rows = split.stage1_rows, split.stage2_rows
+    s1_idx = {c: i for i, c in enumerate(s1_cols)}
+    s2_idx = {c: i for i, c in enumerate(s2_cols)}
+    r2_idx = {r: i for i, r in enumerate(r2_rows)}
+
+    for (row, col) in core.entries:
+        if row in r1_rows and col in s2_idx:
+            raise UnsupportedStructure(
+                f"first-stage row {row!r} references second-stage column {col!r}")
+
+    # Upper/fixed variable bounds become extra equality rows (with slacks for UP).
+    extra1 = []  # (col name, bound value, needs_slack)
+    extra2 = []
+    lower1 = np.zeros(len(s1_cols))
+    for j, col in enumerate(s1_cols):
+        lo, up = core.bounds.get(col, (0.0, np.inf))
+        lower1[j] = lo
+        if np.isfinite(up):
+            extra1.append((col, up, lo != up))
+    for col in s2_cols:
+        lo, up = core.bounds.get(col, (0.0, np.inf))
+        if lo != 0.0:
+            raise UnsupportedStructure(
+                f"second-stage column {col!r} has a nonzero lower bound")
+        if np.isfinite(up):
+            extra2.append((col, up, True))
+
+    ineq1 = [r for r in r1_rows if core.row_sense[r] != "E"]
+    ineq2 = [r for r in r2_rows if core.row_sense[r] != "E"]
+    n_slack1 = len(ineq1) + sum(1 for _, _, s in extra1 if s)
+    n_slack2 = len(ineq2) + sum(1 for _, _, s in extra2 if s)
+    n1 = len(s1_cols) + n_slack1
+    n2 = len(s2_cols) + n_slack2
+    m1 = len(r1_rows) + len(extra1)
+    m2 = len(r2_rows) + len(extra2)
+
+    A = np.zeros((m1, n1))
+    b = np.zeros(m1)
+    D = np.zeros((m2, n2))
+    C = np.zeros((m2, n1))
+    xi = np.zeros(m2)
+    c_vec = np.zeros(n1)
+    d_vec = np.zeros(n2)
+    Q = np.zeros((n1, n1))
+
+    for j, col in enumerate(s1_cols):
+        c_vec[j] = core.entries.get((core.obj_row, col), 0.0)
+    for j, col in enumerate(s2_cols):
+        d_vec[j] = core.entries.get((core.obj_row, col), 0.0)
+    for (c1, c2), val in core.quad.items():
+        if c1 not in s1_idx or c2 not in s1_idx:
+            raise UnsupportedStructure("QUADOBJ terms must involve first-stage columns only")
+        i, j = s1_idx[c1], s1_idx[c2]
+        Q[i, j] = val
+        Q[j, i] = val
+
+    slack = len(s1_cols)
+    for i, row in enumerate(r1_rows):
+        for j, col in enumerate(s1_cols):
+            v = core.entries.get((row, col))
+            if v is not None:
+                A[i, j] = v
+        b[i] = core.rhs.get(row, 0.0)
+        sense = core.row_sense[row]
+        if sense != "E":
+            A[i, slack] = 1.0 if sense == "L" else -1.0
+            slack += 1
+    for kdx, (col, up, needs_slack) in enumerate(extra1):
+        i = len(r1_rows) + kdx
+        A[i, s1_idx[col]] = 1.0
+        b[i] = up
+        if needs_slack:
+            A[i, slack] = 1.0
+            slack += 1
+
+    slack = len(s2_cols)
+    for i, row in enumerate(r2_rows):
+        for j, col in enumerate(s2_cols):
+            v = core.entries.get((row, col))
+            if v is not None:
+                D[i, j] = v
+        for j, col in enumerate(s1_cols):
+            v = core.entries.get((row, col))
+            if v is not None:
+                C[i, j] = v
+        xi[i] = core.rhs.get(row, 0.0)
+        sense = core.row_sense[row]
+        if sense != "E":
+            D[i, slack] = 1.0 if sense == "L" else -1.0
+            slack += 1
+    for kdx, (col, up, _slacked) in enumerate(extra2):
+        i = len(r2_rows) + kdx
+        D[i, s2_idx[col]] = 1.0
+        xi[i] = up
+        D[i, slack] = 1.0
+        slack += 1
+
+    lower = np.concatenate([lower1, np.zeros(n_slack1)])
+
+    entries = []
+    for col, row, dist in marginals:
+        if row == core.obj_row:
+            raise UnsupportedStructure("random objective coefficients are not supported")
+        if row not in r2_idx:
+            raise UnsupportedStructure(
+                f"randomness on first-stage row {row!r} is not supported")
+        if col == "RHS":
+            entries.append(RandomEntry(kind="rhs", row=r2_idx[row], dist=dist))
+        elif col in s1_idx:
+            entries.append(RandomEntry(kind="tech", row=r2_idx[row], col=s1_idx[col], dist=dist))
+        elif col in s2_idx:
+            raise UnsupportedStructure(
+                f"randomness on recourse-matrix column {col!r} is not supported")
+        else:
+            raise UnknownName(f"stochastic column {col!r} not found")
+
+    if core.rhs.get(core.obj_row, 0.0) != 0.0:
+        warnings.warn("objective-row RHS constant ignored")
+
+    problem = TwoStageProblem(
+        Q=Q, c=c_vec, A=A, b=b, D=D, d=d_vec, xi=xi, C=C,
+        lower_bounds=lower, stochastic_map=entries, name=core.name,
+    )
+    return problem, ScenarioSampler(problem, seed=seed)

@@ -120,3 +120,20 @@ def test_lower_none_still_loads_as_a_free_first_stage():
     p = parse_native(MINIMAL.replace("lower 0.0 0.0", "lower none"))
     np.testing.assert_array_equal(p.lower_bounds, [-np.inf, -np.inf])
     assert p.recourse_lo == 0.0 and p.recourse_hi == 5.0
+
+
+@pytest.mark.parametrize("old, new, line_no", [
+    ("\nEND\n", "\n", None),
+    ("Q 2 2", "Q two 2", 5),
+    ("1.0 0.0\n0.0 1.0", "1.0 zero\n0.0 1.0", 6),
+    ("MATRICES", "MATRIX", None),
+    ("\nEND\n", "\nFIN\n", None),
+    ("c 2\n-1.0 -2.0\n", "c 2\n-1.0 -2.0\nc 2\n-1.0 -2.0\n", None),
+    ("0.2:0.5 0.6:0.5", "0.2:0.5 0.6:0.6", 26),
+], ids=["end-of-file", "bad-integer", "bad-float", "missing-matrices", "missing-end",
+        "repeated-matrix", "bad-discrete-marginal"])
+def test_malformed_document_names_its_line(old, new, line_no):
+    assert old in MINIMAL
+    with pytest.raises(MalformedSection) as err:
+        parse_native(MINIMAL.replace(old, new))
+    assert err.value.line_no == line_no

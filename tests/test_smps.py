@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
+
+import reference
 
 from scsopt.exceptions import (
     DuplicateName,
@@ -130,41 +134,35 @@ class TestParseTime:
 class TestParseStoch:
     def test_discrete_marginal_mean(self):
         core = parse_core(MINI_CORE)
-        split = parse_time(MINI_TIME, core)
         text = MINI_STOCH.replace("3.0   PERIOD2   0.4", "5.0   PERIOD2   0.3").replace(
             "5.0   PERIOD2   0.6", "7.0   PERIOD2   0.7")
-        stoch = parse_stoch(text, core, split)
-        (_col, _row, dist), = stoch.marginals
+        (_col, _row, dist), = parse_stoch(text, core)
         assert sum(v * p for v, p in zip(dist.values, dist.probs)) == pytest.approx(6.4)
 
     def test_probabilities_must_sum_to_one(self):
         core = parse_core(MINI_CORE)
-        split = parse_time(MINI_TIME, core)
         text = MINI_STOCH.replace("0.6", "0.4")
         with pytest.raises(ProbabilityNotSummingToOne):
-            parse_stoch(text, core, split)
+            parse_stoch(text, core)
 
     def test_blocks_rejected(self):
         core = parse_core(MINI_CORE)
-        split = parse_time(MINI_TIME, core)
         text = MINI_STOCH.replace("INDEP       DISCRETE", "BLOCKS      DISCRETE")
         with pytest.raises(UnsupportedStochType):
-            parse_stoch(text, core, split)
+            parse_stoch(text, core)
 
     def test_indep_normal_rejected(self):
         core = parse_core(MINI_CORE)
-        split = parse_time(MINI_TIME, core)
         text = MINI_STOCH.replace("INDEP       DISCRETE", "INDEP       NORMAL")
         with pytest.raises(UnsupportedStochType):
-            parse_stoch(text, core, split)
+            parse_stoch(text, core)
 
 
 class TestAssemble:
     def _triple(self, stoch_text=MINI_STOCH):
         core = parse_core(MINI_CORE)
         split = parse_time(MINI_TIME, core)
-        stoch = parse_stoch(stoch_text, core, split)
-        return assemble(core, split, stoch)
+        return assemble(core, split, parse_stoch(stoch_text, core))
 
     def test_deterministic_stoch_single_scenario(self):
         text = MINI_STOCH.replace(
@@ -189,7 +187,7 @@ class TestAssemble:
         split = parse_time(MINI_TIME, core)
         text = MINI_STOCH.replace("RHS       R2 ", "Y1        R2 ")
         with pytest.raises(UnsupportedStructure):
-            assemble(core, split, parse_stoch(text, core, split))
+            assemble(core, split, parse_stoch(text, core))
 
     def test_objective_value_roundtrip_against_scipy(self):
         # independent path: assemble -> true_objective vs direct per-scenario LPs
@@ -260,7 +258,7 @@ ENDATA
 def test_bounds_and_quadobj_assemble_to_hand_written_arrays():
     core = parse_core(BOUNDED_CORE)
     split = parse_time(BOUNDED_TIME, core)
-    problem, _ = assemble(core, split, parse_stoch(BOUNDED_STOCH, core, split))
+    problem, _ = assemble(core, split, parse_stoch(BOUNDED_STOCH, core))
     # columns x1 x2 x3 s(C1) s(x1 <= 4); rows C1, x1 <= 4, x2 = 2 (no slack)
     np.testing.assert_array_equal(problem.A, [[1, 1, 1, 1, 0],
                                               [1, 0, 0, 0, 1],
@@ -341,3 +339,181 @@ class TestLandsToy:
         timef.write_text(MINI_TIME)
         with pytest.raises(ParseError, match="inst.sto"):
             load_smps(str(core))
+
+
+def _load_edited(tmp_path, core=(), time=(), stoch=()):
+    """load_smps on the MINI triple after each (old, new) text edit; each old must occur."""
+    for ext, text, edits in ((".cor", MINI_CORE, core), (".tim", MINI_TIME, time),
+                             (".sto", MINI_STOCH, stoch)):
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        (tmp_path / f"mini{ext}").write_text(text)
+    return load_smps(str(tmp_path / "mini.cor"))
+
+
+BOUND = "BOUNDS\n {}\nENDATA"
+QUAD = "QUADOBJ\n    {}\nENDATA"
+
+
+@pytest.mark.parametrize("edits, exc, line_no", [
+    (dict(core=[(" L  R2", " L  R2  R3")]), MalformedSection, 5),
+    (dict(core=[(" L  R2", " X  R2")]), MalformedSection, 5),
+    (dict(core=[(" N  OBJ", " E  OBJ")]), MalformedSection, None),
+    (dict(core=[("X1        R2        1.0", "X1        R2")]), MalformedSection, 8),
+    (dict(core=[("X1        R2        1.0", "X1        R1        2.0")]), DuplicateName, None),
+    (dict(core=[("R2        4.0", "R2")]), MalformedSection, 11),
+    (dict(core=[("R2        4.0", "R9        4.0")]), UnknownRow, None),
+    (dict(core=[("ENDATA", BOUND.format("UP BND"))]), MalformedSection, 13),
+    (dict(core=[("ENDATA", BOUND.format("UP BND       ZZ        1.0"))]), UnknownName, None),
+    (dict(core=[("ENDATA", BOUND.format("UP BND       X1"))]), MalformedSection, 13),
+    (dict(core=[("ENDATA", BOUND.format("BV BND       X1"))]), UnsupportedStructure, None),
+    (dict(core=[("ENDATA", QUAD.format("X1        X1"))]), MalformedSection, 13),
+    (dict(core=[("ENDATA", QUAD.format("X1        ZZ        1.0"))]), UnknownName, None),
+    (dict(time=[("Y1        R2        PERIOD2", "Y1        R2")]), MalformedSection, 4),
+    (dict(time=[("IMPLICIT", "EXPLICIT")]), UnsupportedStructure, None),
+    (dict(time=[("Y1        R2", "Y1        R9")]), UnknownName, None),
+    (dict(stoch=[("5.0   PERIOD2   0.6", "5.0")]), MalformedSection, 4),
+    (dict(stoch=[("RHS       R2        3.0", "RHS       R9        3.0")]), UnknownName, None),
+    (dict(stoch=[("RHS       R2        3.0", "ZZ        R2        3.0")]), UnknownName, None),
+    (dict(stoch=[("3.0   PERIOD2", "abc   PERIOD2")]), MalformedSection, 3),
+    (dict(stoch=[("RHS       R2", "RHS       R1")]), UnsupportedStructure, None),
+    (dict(core=[("ENDATA", BOUND.format("LO BND       Y1        1.0"))]), UnsupportedStructure, None),
+    (dict(core=[("ENDATA", QUAD.format("X1        Y1        1.0"))]), UnsupportedStructure, None),
+    (dict(core=[("Y1        OBJ       2.0    R2", "Y1        OBJ       2.0    R1")]),
+     UnsupportedStructure, None),
+], ids=[
+    "rows-arity", "rows-sense", "rows-no-objective", "columns-arity", "columns-duplicate",
+    "rhs-arity", "rhs-unknown-row", "bounds-arity", "bounds-unknown-column",
+    "bounds-missing-value", "bounds-unsupported-type", "quadobj-arity", "quadobj-unknown-column",
+    "periods-arity", "time-style", "time-unknown-row", "indep-arity", "stoch-unknown-row",
+    "stoch-unknown-column", "stoch-bad-number", "stoch-first-stage-row",
+    "second-stage-lower-bound", "quadobj-second-stage", "first-stage-row-second-stage-column",
+])
+def test_malformed_triple_raises_its_typed_error(tmp_path, edits, exc, line_no):
+    with pytest.raises(exc) as err:
+        _load_edited(tmp_path, **edits)
+    assert type(err.value) is exc
+    if exc is MalformedSection:
+        assert err.value.line_no == line_no
+
+
+def test_random_objective_coefficient_is_unsupported(tmp_path):
+    stoch = [("RHS       R2        3.0", "X1        OBJ       3.0"),
+             ("RHS       R2        5.0", "X1        OBJ       5.0")]
+    with pytest.raises(UnsupportedStructure, match="random objective coefficients"):
+        _load_edited(tmp_path, stoch=stoch)
+
+
+@pytest.mark.parametrize("edits, match", [
+    (dict(core=[("ENDATA", "FOO\n    A         B         1.0\nENDATA")]), "unknown CORE section"),
+    (dict(core=[(" N  OBJ", " N  OBJ\n N  COST2")]), "extra free row"),
+    (dict(core=[("R2        4.0\n", "R2        4.0\n    RHS       OBJ       9.0\n")]),
+     "objective-row RHS"),
+    (dict(time=[("ENDATA", "FOO\n    X1        R1        PERIOD1\nENDATA")]), "unknown TIME section"),
+    (dict(stoch=[("ENDATA", "FOO\n    RHS       R2        1.0       1.0\nENDATA")]),
+     "unknown STOCH section"),
+], ids=["core-section", "extra-free-row", "objective-rhs", "time-section", "stoch-section"])
+def test_ignored_input_warns(tmp_path, edits, match):
+    with pytest.warns(UserWarning, match=match):
+        problem, _ = _load_edited(tmp_path, **edits)
+    assert problem.support_size() == 2
+
+
+@pytest.mark.parametrize("edits, check", [
+    (dict(core=[("ENDATA", BOUND.format("LO BND       X1        -1.0"))]),
+     lambda p: p.lower_bounds[0] == -1.0),
+    (dict(core=[("ENDATA", BOUND.format("FR BND       X1"))]),
+     lambda p: p.lower_bounds[0] == -np.inf),
+    (dict(stoch=[("3.0   PERIOD2   0.4", "3.0   0.4"), ("5.0   PERIOD2   0.6", "5.0   0.6")]),
+     lambda p: (p.stochastic_map[0].dist.values, p.stochastic_map[0].dist.probs)
+     == ((3.0, 5.0), (0.4, 0.6))),
+    (dict(core=[(" L  R2\n", " L  R2\n   \n")]), lambda p: (p.m1, p.m2) == (1, 1)),
+], ids=["lo-bound", "fr-bound", "indep-four-tokens", "blank-line"])
+def test_accepted_forms(tmp_path, edits, check):
+    problem, _ = _load_edited(tmp_path, **edits)
+    assert check(problem)
+
+
+def _random_triple(rng):
+    """CORE, TIME and STOCH texts of a random two-stage instance.
+
+    Both stages mix E, L and G rows; first-stage columns take one or two
+    records of LO, UP, FX, MI, FR and PL bounds, second-stage columns UP (a
+    positive value) or PL; QUADOBJ terms join first-stage columns; RHS and
+    technology entries get discrete marginals in the 4- and 5-token forms.
+    """
+    def value():
+        return repr(float(rng.choice([0.0, -0.0, 1.0, -2.5, 10.0 * rng.standard_normal()])))
+
+    rows1 = [f"A{i}" for i in range(rng.integers(0, 4))]
+    rows2 = [f"B{i}" for i in range(rng.integers(1, 4))]
+    cols1 = [f"X{j}" for j in range(rng.integers(1, 4))]
+    cols2 = [f"Y{j}" for j in range(rng.integers(1, 4))]
+    core = ["NAME RAND", "ROWS", " N  OBJ"]
+    core += [f" {rng.choice(['E', 'L', 'G'])}  {r}" for r in rows1 + rows2]
+    core.append("COLUMNS")
+    for col in cols1 + cols2:
+        core.append(f"    {col}  OBJ  {value()}")
+        rows = rows1 + rows2 if col in cols1 else rows2
+        core += [f"    {col}  {r}  {value()}" for r in rows if rng.random() < 0.6]
+    core.append("RHS")
+    core += [f"    RHS  {r}  {value()}" for r in rows1 + rows2 if rng.random() < 0.7]
+    core.append("BOUNDS")
+    for col in cols1:
+        for btype in rng.choice(["LO", "UP", "FX", "MI", "FR", "PL"], size=rng.integers(0, 3)):
+            core.append(f" {btype} BND  {col}  {value() if btype in ('LO', 'UP', 'FX') else ''}")
+    for col in cols2:
+        btype = rng.choice(["", "UP", "PL"])
+        if btype:
+            core.append(f" {btype} BND  {col}  {repr(rng.uniform(0.5, 5.0)) if btype == 'UP' else ''}")
+    core.append("QUADOBJ")
+    for _ in range(rng.integers(0, 3)):
+        core.append(f"    {rng.choice(cols1)}  {rng.choice(cols1)}  {value()}")
+    core.append("ENDATA")
+    time = ["TIME RAND", "PERIODS IMPLICIT", f"    X0  {(rows1 + rows2)[0]}  PERIOD1",
+            f"    Y0  {rows2[0]}  PERIOD2", "ENDATA"]
+    stoch = ["STOCH RAND", "INDEP DISCRETE"]
+    for col in ["RHS"] + cols1:
+        for r in rows2:
+            if rng.random() < 0.4:
+                probs = [(1.0,), (0.5, 0.5), (0.25, 0.75), (0.2, 0.3, 0.5)][rng.integers(4)]
+                period = "  PERIOD2" if rng.random() < 0.5 else ""
+                stoch += [f"    {col}  {r}  {value()}{period}  {p!r}" for p in probs]
+    stoch.append("ENDATA")
+    return "\n".join(core) + "\n", "\n".join(time) + "\n", "\n".join(stoch) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_assemble_gives_the_reference_arrays(seed):
+    core_text, time_text, stoch_text = _random_triple(np.random.default_rng(seed))
+    core = parse_core(core_text)
+    split = parse_time(time_text, core)
+    marginals = parse_stoch(stoch_text, core)
+    problem, _ = assemble(core, split, marginals)
+    ref, _ = reference.assemble(core, split, marginals)
+    for name in ("Q", "c", "A", "b", "D", "d", "xi", "C", "lower_bounds"):
+        got, want = getattr(problem, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert problem.stochastic_map == ref.stochastic_map
+
+
+def test_fixed_second_stage_column_gets_its_row_and_no_slack():
+    # y1 = 0 (FX 0) needs no slack: the reference adds one, held at 0 by y1 + s = 0
+    core = parse_core(MINI_CORE.replace("ENDATA", BOUND.format("FX BND       Y1        0.0")))
+    split = parse_time(MINI_TIME, core)
+    marginals = parse_stoch(MINI_STOCH, core)
+    problem, _ = assemble(core, split, marginals)
+    old, _ = reference.assemble(core, split, marginals)
+    # columns y1 s(R2); rows R2, y1 = 0
+    np.testing.assert_array_equal(problem.D, [[1, 1], [1, 0]])
+    np.testing.assert_array_equal(old.D, [[1, 1, 0], [1, 0, 1]])
+    np.testing.assert_array_equal(problem.d, [2, 0])
+    np.testing.assert_array_equal(problem.xi, [4, 0])
+    np.testing.assert_array_equal(problem.xi, old.xi)
+    np.testing.assert_array_equal(problem.C, old.C)
+    np.testing.assert_array_equal(problem.A, old.A)
+    value = extensive_form(problem, enumerate_support(problem)).solve().value
+    assert value == pytest.approx(extensive_form(old, enumerate_support(old)).solve().value, abs=1e-12)
+    assert value == pytest.approx(1.0, abs=1e-12)
